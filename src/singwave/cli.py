@@ -24,6 +24,7 @@ from .data import InitialData, bump_data, mode_data, sine_data
 from .evolution import (EvolutionError, decay_rate, extinction_time,
                         project_out, projection_condition, simulate)
 from .laplace import LaplaceError, tail_u2
+from .specfun import SpecialFunctionError
 from .spectrum import (SpectralProblem, SpectrumError, alpha_sweep,
                        find_eigenvalues, spectral_abscissa)
 from . import verify as verify_mod
@@ -483,7 +484,8 @@ def main(argv=None):
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"singwave: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpectrumError, LaplaceError, EvolutionError) as exc:
+    except (SpectrumError, LaplaceError, EvolutionError,
+            SpecialFunctionError) as exc:
         print(f"singwave: computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 EULER_GAMMA = 0.57721566490153286061
 
 # Series truncation: stop when |term| < _SERIES_RTOL * |sum| for
@@ -46,7 +48,10 @@ class ConvergenceError(SpecialFunctionError):
     """Series or continued fraction did not converge within the budget."""
 
     def __init__(self, message, z, terms):
-        super().__init__(f"{message} (|z|={abs(z):.6g}, terms={terms})")
+        detail = f"|z|={abs(z):.6g}"
+        if terms is not None:
+            detail += f", terms={terms}"
+        super().__init__(f"{message} ({detail})")
         self.z = z
         self.terms = terms
 
@@ -112,35 +117,21 @@ def _kummer_series_double(a, b, z):
 
 
 def _kummer_series_highprec(a, b, z):
-    """The same term recurrence in elevated-precision arithmetic.
+    """M(a, b, z) by mpmath's adaptive-precision hyp1f1.
 
     Used only in the cancellation-dominated window where neither the
     double-precision series nor the large-argument expansion reaches the
-    accuracy contract.
+    accuracy contract. zeroprec (53 + 1.5|z| + 40 bits) lets an exact zero,
+    such as a terminating series at its root, come back as 0 instead of
+    raising.
     """
     import mpmath as mp
 
-    extra_bits = int(1.5 * abs(z)) + 40
-    with mp.workprec(53 + extra_bits):
-        zz = mp.mpc(z)
-        aa = mp.mpf(a)
-        bb = mp.mpf(b)
-        term = mp.mpc(1)
-        acc = mp.mpc(1)
-        small_run = 0
-        for k in range(_SERIES_MAX_TERMS):
-            term = term * ((aa + k) / ((bb + k) * (k + 1))) * zz
-            if term == 0:
-                return complex(acc)
-            acc += term
-            if abs(term) < mp.mpf(_SERIES_RTOL) * abs(acc):
-                small_run += 1
-                if small_run >= _SERIES_RUN:
-                    return complex(acc)
-            else:
-                small_run = 0
-    raise ConvergenceError("high-precision Kummer series did not converge",
-                           z, _SERIES_MAX_TERMS)
+    try:
+        return complex(mp.hyp1f1(a, b, z, zeroprec=int(1.5 * abs(z)) + 93))
+    except (ValueError, mp.NoConvergence) as exc:
+        raise ConvergenceError(f"mpmath hyp1f1 did not converge: {exc}",
+                               z, None) from exc
 
 
 def _asym_sum(p, q, w):
@@ -190,8 +181,9 @@ def kummer_m(a, b, z):
     a and b real, z complex; b must not be a non-positive integer. Relative
     accuracy ~1e-12 for |z| <= 200. The power series (with the Kummer
     transformation for Re z < -1) handles the well-conditioned regime; the
-    large-argument expansion and a high-precision series fallback cover the
-    cancellation-dominated corner at large |Im z|.
+    large-argument expansion and a fallback through mpmath.hyp1f1 cover the
+    cancellation-dominated corner at large |Im z| and near zeros of M.
+    kummer_m_array evaluates the same function over a numpy array.
     """
     if b <= 0 and b == int(b):
         raise ValueError(f"b={b} is a non-positive integer")
@@ -209,6 +201,58 @@ def kummer_m(a, b, z):
         if err <= _CANCEL_RTOL * max(abs(asym), 1e-300):
             return asym
     return _kummer_series_highprec(a, b, z)
+
+
+def kummer_m_array(a, b, z):
+    """kummer_m over a numpy array of z, same shape out.
+
+    Runs the double-precision series of kummer_m in lockstep over the
+    elements: each element stops under the scalar stopping rule and must pass
+    the scalar cancellation test. Elements with Re z < -1, or that fail
+    either test, go through kummer_m itself. On real z the result equals
+    kummer_m element by element; on complex z it may differ in the last bits,
+    since numpy's complex products and moduli round differently.
+    """
+    if b <= 0 and b == int(b):
+        raise ValueError(f"b={b} is a non-positive integer")
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    transform = flat.real < _KUMMER_TRANSFORM_RE
+    rest = [np.flatnonzero(transform)]  # left to kummer_m
+    idx = np.flatnonzero(~transform)
+    if a == 0.0:
+        out[idx] = 1.0
+        idx = idx[:0]
+    zz = flat[idx]
+    term = np.ones_like(zz)
+    acc = term.copy()
+    max_mag = np.ones(zz.shape)
+    run = np.zeros(zz.shape, dtype=int)
+    for k in range(_SERIES_MAX_TERMS):
+        if idx.size == 0:
+            break
+        term = term * ((a + k) / ((b + k) * (k + 1.0))) * zz
+        acc += term
+        mag = np.abs(acc)
+        np.maximum(max_mag, mag, out=max_mag)
+        small = np.abs(term) < _SERIES_RTOL * np.maximum(mag, 1e-300)
+        run = np.where(small, run + 1, 0)
+        # a zero term ends a terminating series
+        done = (term == 0) | (run >= _SERIES_RUN)
+        if done.any():
+            value, fin = acc[done], idx[done]
+            cancel = 2.3e-16 * max_mag[done]
+            ok = cancel <= _CANCEL_RTOL * np.maximum(np.abs(value), 1e-300)
+            out[fin[ok]] = value[ok]
+            rest.append(fin[~ok])
+            keep = ~done
+            idx, zz, term = idx[keep], zz[keep], term[keep]
+            acc, max_mag, run = acc[keep], max_mag[keep], run[keep]
+    rest.append(idx)  # series budget exhausted
+    for i in np.concatenate(rest):
+        out[i] = kummer_m(a, b, flat[i])
+    return out.reshape(z.shape)
 
 
 def kummer_m_dz(a, b, z):

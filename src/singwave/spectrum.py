@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.optimize
 import scipy.special
 
-from .specfun import kummer_m, kummer_m_dz, laguerre
+from .specfun import kummer_m, kummer_m_array, kummer_m_dz, laguerre
 
 INTEGER_ALPHA_TOL = 1e-14
 
@@ -277,20 +278,15 @@ def _real_eigenvalues_generic(problem):
     z_hi = 4.0 * a + 16.0 + 3.0 * max(0.0, -math.log(dist))
     zs = np.linspace(1e-6, z_hi, 4000)
     g = lambda z: kummer_m(1.0 - a, 2.0, complex(z)).real
-    vals = np.array([g(z) for z in zs])
+    vals = kummer_m_array(1.0 - a, 2.0, zs).real
     roots = []
     for i in range(len(zs) - 1):
         if vals[i] == 0.0:
             roots.append(zs[i])
         elif vals[i] * vals[i + 1] < 0:
-            lo, hi = zs[i], zs[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if g(lo) * g(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            roots.append(0.5 * (lo + hi))
+            # rtol at brentq's floor of 4 eps
+            roots.append(scipy.optimize.brentq(g, zs[i], zs[i + 1],
+                                               xtol=1e-15, rtol=8.9e-16))
     mus = sorted(-z / 2.0 for z in roots)
     if len(mus) != expected:
         raise SpectrumError(

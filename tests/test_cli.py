@@ -59,6 +59,59 @@ class TestSpectrum:
         assert path.read_text().startswith("index,branch")
 
 
+    def test_near_one_is_computation_error(self, capsys):
+        # the double series gives up at |z| ~ 1e5: a classified failure
+        code, _, err = run_cli(capsys, "spectrum", "--alpha", "1.0000001")
+        assert code == 1
+        assert "computation error" in err
+
+
+# re/im columns of `spectrum --alpha A --kmax 5`, recorded before the
+# real-axis scan moved to kummer_m_array + brentq and the high-precision
+# fallback to mpmath.hyp1f1; both changes must leave them byte-identical
+GOLDEN_SPECTRA = {
+    "1.440102": """\
+1,real,-1.5421665906889575,0.0
+1,upper,-3.812518390787235,3.7478262342564634
+2,upper,-4.541320147255997,7.155846594086956
+3,upper,-5.013253179082881,10.437121146857114
+4,upper,-5.366040414978848,13.667135070961843
+5,upper,-5.648591704527554,16.870552582000364
+1,lower,-3.812518390787235,-3.7478262342564634
+2,lower,-4.541320147255997,-7.155846594086956
+3,lower,-5.013253179082881,-10.437121146857114
+4,lower,-5.366040414978848,-13.667135070961843
+5,lower,-5.648591704527554,-16.870552582000364
+""",
+    "3.0000009938368044": """\
+1,real,-15.678490433355702,0.0
+2,real,-2.366024330799547,0.0
+3,real,-0.6339743704359269,0.0
+1,upper,-15.826941698757667,3.9635284231725825
+2,upper,-16.166196102852567,7.757266633046623
+3,upper,-16.55876975315933,11.378284595350406
+4,upper,-16.944456955750674,14.875817579135616
+5,upper,-17.305058943057904,18.289605699373112
+1,lower,-15.826941698757667,-3.9635284231725825
+2,lower,-16.166196102852567,-7.757266633046623
+3,lower,-16.55876975315933,-11.378284595350406
+4,lower,-16.944456955750674,-14.875817579135616
+5,lower,-17.305058943057904,-18.289605699373112
+""",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(GOLDEN_SPECTRA))
+def test_golden_spectrum(capsys, alpha):
+    code, out, _ = run_cli(capsys, "spectrum", "--alpha", alpha,
+                           "--kmax", "5")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "index,branch,re,im,residual,seed_source"
+    got = "".join(",".join(l.split(",")[:4]) + "\n" for l in lines[1:])
+    assert got == GOLDEN_SPECTRA[alpha]
+
+
 class TestSweep:
     def test_small_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--alpha-min", "1.3",

@@ -7,16 +7,35 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singwave.specfun import (ConvergenceError, PolynomialCoeffs,
-                              exp_integral_e1, kummer_m, kummer_m_dz,
-                              laguerre, laguerre_coeffs, p_poly,
+                              exp_integral_e1, kummer_m, kummer_m_array,
+                              kummer_m_dz, laguerre, laguerre_coeffs, p_poly,
                               second_solution_v)
 
 
 def mp_kummer(a, b, z):
     with mpmath.workdps(40):
-        return complex(mpmath.hyp1f1(a, b, mpmath.mpc(z)))
+        # zeroprec: an exact zero (terminating series at its root) is 0
+        return complex(mpmath.hyp1f1(a, b, mpmath.mpc(z), zeroprec=400))
+
+
+# deterministic example streams, no example database on disk
+kummer_settings = settings(derandomize=True, database=None, deadline=None,
+                           max_examples=150)
+# parameters on a 2^-10 grid, so that a - 1, a + 1 and b - a are exact and
+# the identities are not blurred by rounding the parameters
+real_a = st.integers(-4096, 4096).map(lambda k: k / 1024)
+real_b = st.integers(512, 4096).map(lambda k: k / 1024)
+
+
+@st.composite
+def polar_z(draw, r_min, r_max):
+    r = draw(st.floats(r_min, r_max))
+    theta = draw(st.floats(-math.pi, math.pi))
+    return cmath.rect(r, theta)
 
 
 class TestKummerM:
@@ -32,6 +51,17 @@ class TestKummerM:
     def test_bad_b(self):
         with pytest.raises(ValueError):
             kummer_m(0.5, -1.0, 1.0)
+
+    @kummer_settings
+    @given(a=real_a, b=real_b, z=polar_z(2.0, 130.0))
+    def test_against_mpmath_40_digits(self, a, b, z):
+        ref = mp_kummer(a, b, z)
+        assert abs(kummer_m(a, b, z) - ref) <= 1e-12 * abs(ref)
+
+    def test_terminating_root_does_not_raise(self):
+        # M(-1, 2, z) = 1 - z/2 vanishes exactly at z = 2; the cancellation
+        # test sends it to the high-precision fallback
+        assert kummer_m(-1.0, 2.0, 2 + 0j) == 0
 
     def test_against_mpmath_grid(self):
         rng = np.random.default_rng(42)
@@ -68,6 +98,72 @@ class TestKummerM:
         h = 1e-6
         fd = (kummer_m(a, b, z + h) - kummer_m(a, b, z - h)) / (2 * h)
         assert abs(kummer_m_dz(a, b, z) - fd) < 1e-8
+
+
+class TestKummerProperties:
+    """Identities of M checked on kummer_m alone, without an mpmath oracle,
+    across the series, asymptotic and high-precision regimes."""
+
+    @kummer_settings
+    @given(a=real_a, b=real_b, x=st.floats(-1.0, 1.0),
+           y=st.floats(-130.0, 130.0))
+    def test_kummer_transformation(self, a, b, x, y):
+        # for -1 <= Re z <= 1 neither side applies the transformation
+        # internally, so each side is an independent evaluation, and at
+        # large |Im z| the two sides land in different regimes
+        z = complex(x, y)
+        m = kummer_m(a, b, z)
+        t = cmath.exp(z) * kummer_m(b - a, b, -z)
+        assert abs(m - t) <= 1e-11 * max(abs(m), abs(t))
+
+    @kummer_settings
+    @given(a=real_a, b=real_b, z=polar_z(0.0, 130.0))
+    def test_contiguous_relation(self, a, b, z):
+        # (b-a) M(a-1,b,z) + (2a-b+z) M(a,b,z) - a M(a+1,b,z) = 0
+        terms = ((b - a) * kummer_m(a - 1.0, b, z),
+                 (2.0 * a - b + z) * kummer_m(a, b, z),
+                 -a * kummer_m(a + 1.0, b, z))
+        assert abs(sum(terms)) <= 1e-11 * sum(abs(t) for t in terms)
+
+
+def _scan_grid(alpha):
+    """The real-axis scan grid of the spectrum layer."""
+    dist = max(min(alpha - math.floor(alpha), math.ceil(alpha) - alpha),
+               1e-16)
+    z_hi = 4.0 * alpha + 16.0 + 3.0 * max(0.0, -math.log(dist))
+    return np.linspace(1e-6, z_hi, 4000)
+
+
+class TestKummerMArray:
+    @pytest.mark.parametrize("alpha", [0.7, 1.44, 1.97, 2.6, 3 + 1e-6,
+                                       2 + 1e-11])
+    def test_real_grid_bit_identical(self, alpha):
+        zs = _scan_grid(alpha)
+        vals = kummer_m_array(1.0 - alpha, 2.0, zs)
+        ref = np.array([kummer_m(1.0 - alpha, 2.0, z) for z in zs])
+        assert vals.view(np.int64).tolist() == ref.view(np.int64).tolist()
+
+    def test_mixed_complex_array(self):
+        # Re z < -1 (transformation), |z| >= 34 (asymptotic band), points
+        # next to a zero of M (cancellation) and plain series points
+        lam_star = -1.2096780473893283 + 2.3209604107624543j
+        z = np.array([[-40.0 + 3.0j, -1.5 + 0.0j, 0.3 - 0.2j, 5.0 + 1.0j],
+                      [10.0 + 60.0j, 1.0 - 45.0j, 0.5 + 34.0j, 20.0 + 0.0j],
+                      [-2 * lam_star, -2 * lam_star + 1e-9, 2.0 + 0j,
+                       0.0 + 0.0j]])
+        for a in (-0.5, 1.3, -3.0):
+            vals = kummer_m_array(a, 2.0, z)
+            assert vals.shape == z.shape
+            for v, zi in zip(vals.ravel(), z.ravel()):
+                ref = kummer_m(a, 2.0, zi)
+                assert abs(v - ref) <= 1e-12 * max(abs(ref), 1e-300)
+
+    def test_a_zero_and_bad_b(self):
+        z = np.array([0.5, 3.0 + 2.0j, -5.0])
+        ref = [kummer_m(0.0, 2.0, zi) for zi in z]
+        assert kummer_m_array(0.0, 2.0, z).tolist() == ref
+        with pytest.raises(ValueError):
+            kummer_m_array(0.5, -1.0, z)
 
 
 class TestLaguerre:
