@@ -105,15 +105,14 @@ def mode_data(n, k):
     """Standing-wave data for integer damping alpha = n + 1: (f_k, mu_k f_k)
     with f_k(x) = x e^(mu_k x) L_n^(1)(-2 mu_k x), yielding the exact
     solution e^(mu_k t) f_k(x)."""
-    from .spectrum import SpectralProblem, find_eigenvalues
+    from .spectrum import laguerre_poles
     from .specfun import laguerre
 
     if n < 1:
         raise ValueError("mode data requires n >= 1 (alpha >= 2)")
-    evs = find_eigenvalues(SpectralProblem(float(n + 1)), 1, audit=False)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
-    mu = evs[k - 1].value.real
+    mu = laguerre_poles(n)[k - 1]
 
     def f(x):
         x = np.asarray(x, dtype=float)

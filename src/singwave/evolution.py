@@ -3,8 +3,20 @@
 The grid excludes x = 0, so the damping coefficient 2*alpha/x stays finite
 (but stiff: 2*alpha/h at the first node); time stepping is therefore
 implicit. For this linear autonomous system the implicit midpoint rule and
-Crank-Nicolson coincide (trapezoidal rule); the factorization of the step
-matrix is reused across steps.
+Crank-Nicolson coincide (trapezoidal rule).
+
+With c = dt/2, D = diag(2 alpha / x_i) and L = tridiag(1, -2, 1)/h^2, one
+step of the rule on (u, v) reads
+
+    u' = u + c (v + v'),    v' = v + c L (u + u') - c D (v + v').
+
+Eliminating u' leaves a single system for the new velocity (the Schur
+complement of the 2N block system):
+
+    A v' = (I - c D) v + c L (2 u + c v),    A = I + c D - c^2 L.
+
+A is tridiagonal and, for alpha >= 0, symmetric positive definite; it is
+factored once by LAPACK's dpttrf and every step is one dpttrs solve.
 """
 
 from __future__ import annotations
@@ -14,11 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.integrate
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .data import InitialData
-from .spectrum import SpectralProblem, eigenfunction, find_eigenvalues
+from .spectrum import laguerre_poles
 from .specfun import laguerre
 
 _SCHEMES = ("implicit-midpoint", "crank-nicolson")
@@ -106,16 +117,6 @@ def apply_generator(alpha, grid, state):
     return State(v.copy(), lap - (2.0 * alpha / grid.nodes) * v)
 
 
-def _generator_matrix(alpha, grid):
-    N = grid.N
-    h = grid.h
-    lap = sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(N, N)) / h ** 2
-    damp = sparse.diags(2.0 * alpha / grid.nodes)
-    eye = sparse.identity(N)
-    zero = sparse.csr_matrix((N, N))
-    return sparse.bmat([[zero, eye], [lap, -damp]], format="csc")
-
-
 def simulate(alpha, initial, T, dt, scheme="implicit-midpoint", N=2000,
              snapshot_times=None, n_snapshots=21):
     """Trapezoidal-rule time stepping up to T with per-step energy audit.
@@ -129,61 +130,83 @@ def simulate(alpha, initial, T, dt, scheme="implicit-midpoint", N=2000,
         raise ValueError(f"unknown scheme {scheme!r}")
     grid = Grid(N)
     x = grid.nodes
-    state = State(np.asarray(initial.u0(x), dtype=float),
-                  np.asarray(initial.u1(x), dtype=float))
+    h = grid.h
+    # u and v live inside zero-padded buffers so that the Dirichlet closure
+    # of every difference stencil is a plain slice
+    u_ext = np.zeros(N + 2)
+    s_ext = np.zeros(N + 2)
+    u, s = u_ext[1:-1], s_ext[1:-1]
+    u[:] = initial.u0(x)
+    v = np.array(initial.u1(x), dtype=float)
+    du = np.empty(N + 1)
+    rhs = np.empty(N)
+
+    def audit_energy():
+        # energy() on the buffers, same formula
+        np.subtract(u_ext[1:], u_ext[:-1], out=du)
+        np.divide(du, h, out=du)
+        return h * float(du @ du) + h * float(v @ v)
 
     n_steps = int(round(T / dt))
-    G = _generator_matrix(alpha, grid)
-    eye = sparse.identity(2 * grid.N, format="csc")
-    try:
-        lu = spla.splu((eye - 0.5 * dt * G).tocsc())
-    except RuntimeError as exc:  # pragma: no cover
-        raise EvolutionError(f"step-matrix factorization failed: {exc}")
-    forward = (eye + 0.5 * dt * G).tocsr()
+    c = 0.5 * dt
+    damp = c * (2.0 * alpha / x)
+    k = c * c / (h * h)
+    d_fac, e_fac, info = lapack.dpttrf(1.0 + damp + 2.0 * k,
+                                       np.full(N - 1, -k))
+    if info != 0:
+        raise EvolutionError(f"step-matrix factorization failed "
+                             f"(dpttrf info={info})")
+    explicit = 1.0 - damp  # diagonal of I - c D
 
     if snapshot_times is None:
         snapshot_times = list(np.linspace(0.0, n_steps * dt, n_snapshots))
     snap_steps = sorted({min(n_steps, max(0, int(round(t / dt))))
                          for t in snapshot_times})
 
-    w = np.concatenate([state.u, state.v])
-    e0 = energy(grid, state)
-    times = [0.0]
-    energies = [e0]
+    e0 = audit_energy()
+    times = np.arange(n_steps + 1) * dt
+    energies = np.empty(n_steps + 1)
+    energies[0] = e0
     snaps = []
     snap_times = []
     if 0 in snap_steps:
-        snaps.append(state.copy())
+        snaps.append(State(u.copy(), v.copy()))
         snap_times.append(0.0)
     max_inc = 0.0
     for step in range(1, n_steps + 1):
-        w = lu.solve(forward @ w)
-        if not np.all(np.isfinite(w)):
+        # s = 2u + c v, rhs = (I - c D) v + c L s
+        np.multiply(v, c, out=s)
+        s += u
+        s += u
+        np.add(s_ext[:-2], s_ext[2:], out=rhs)
+        rhs -= 2.0 * s
+        rhs *= c / (h * h)
+        rhs += explicit * v
+        v_new, _info = lapack.dpttrs(d_fac, e_fac, rhs)
+        v += v_new
+        v *= c
+        u += v
+        v = v_new
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise EvolutionError(f"linear solve produced non-finite state "
                                  f"at step {step}")
-        state = State(w[:grid.N], w[grid.N:])
-        e = energy(grid, state)
-        inc = (e - energies[-1]) / e0 if e0 > 0 else 0.0
+        e = audit_energy()
+        inc = (e - energies[step - 1]) / e0 if e0 > 0 else 0.0
         if inc > max_inc:
             max_inc = inc
         if inc > _ENERGY_INCREASE_TOL:
             raise EnergyIncreaseError(step, inc)
-        times.append(step * dt)
-        energies.append(e)
+        energies[step] = e
         if step in snap_steps:
-            snaps.append(state.copy())
+            snaps.append(State(u.copy(), v.copy()))
             snap_times.append(step * dt)
     return SimulationRun(alpha, grid, dt, scheme, snap_times, snaps,
-                         EnergyTrace(np.array(times), np.array(energies)),
-                         max(max_inc, 0.0))
+                         EnergyTrace(times, energies), max(max_inc, 0.0))
 
 
 def _modes(n):
-    problem = SpectralProblem(float(n + 1))
-    evs = find_eigenvalues(problem, 1, audit=False)
     out = []
-    for ev in evs:
-        mu = ev.value.real
+    for mu in laguerre_poles(n):
 
         def f(x, mu=mu):
             x = np.asarray(x, dtype=float)

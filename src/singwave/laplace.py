@@ -18,8 +18,9 @@ import numpy as np
 import scipy.integrate
 from scipy.interpolate import CubicSpline
 
-from .specfun import exp_integral_e1, laguerre, laguerre_coeffs, p_poly
-from .spectrum import SpectralProblem, find_eigenvalues
+from .specfun import (exp_integral_e1, exp_integral_e1_array, laguerre,
+                      laguerre_coeffs, p_poly)
+from .spectrum import laguerre_poles
 
 _POLE_TOL = 1e-8
 _COEFF_MIN = 1e-12
@@ -73,17 +74,12 @@ class LaplaceRHS:
         return x * (tau * d.u0(x) + d.u1(x)) + 2.0 * (self.n + 1) * d.u0(x)
 
 
-def _poles(n):
-    evs = find_eigenvalues(SpectralProblem(float(n + 1)), 1, audit=False)
-    return tuple(ev.value.real for ev in evs)
-
-
 def partial_fractions(n):
     """Residues a_k = P_n(-2 mu_k) / (-2 (L_n^(1))'(-2 mu_k)); the poles are
     simple because Laguerre roots are."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    poles = _poles(n)
+    poles = laguerre_poles(n)
     pn = p_poly(n)
     dlag = laguerre_coeffs(n, 1).derivative()
     coeffs = []
@@ -97,14 +93,12 @@ def partial_fractions(n):
 
 
 def _log_integral(x, tau):
-    """int_x^1 e^(-2 tau s)/s ds; E1 differences when Re tau > 0, direct
-    quadrature on the real segment otherwise (analytic continuation)."""
+    """int_x^1 e^(-2 tau s)/s ds by quadrature on the real segment; where
+    Re tau > 0 _bracket_factor uses E1 differences instead."""
     if x >= 1.0:
         return 0.0 + 0.0j
     if tau == 0:
         return -math.log(x)
-    if tau.real > 0:
-        return exp_integral_e1(2.0 * tau * x) - exp_integral_e1(2.0 * tau)
     re = scipy.integrate.quad(
         lambda s: math.exp(-2.0 * tau.real * s) / s
         * math.cos(2.0 * tau.imag * s), x, 1.0, epsabs=1e-12, epsrel=1e-12,
@@ -127,8 +121,20 @@ def _bracket_factor(n, x, tau):
     """The bracketed factor of the G1 kernel; value 1 at x = 0."""
     pn = p_poly(n)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(x_arr.shape, dtype=complex)
     e2t = cmath.exp(-2.0 * tau)
+    if tau.real > 0:
+        # int_x^1 e^(-2 tau s)/s ds = E1(2 tau x) - E1(2 tau) inside
+        # (0, 1), zero from x = 1 on
+        log_int = np.zeros(x_arr.shape, dtype=complex)
+        inside = (x_arr != 0.0) & (x_arr < 1.0)
+        log_int[inside] = (exp_integral_e1_array(2.0 * tau * x_arr[inside])
+                           - exp_integral_e1(2.0 * tau))
+        w = -2.0 * tau * x_arr
+        inner = 2.0 * tau * log_int + e2t
+        out = np.exp(-tau * x_arr) * pn(w) - x_arr * np.exp(tau * x_arr) \
+            * laguerre(n, 1, w) * inner
+        return out if np.ndim(x) else out[0]
+    out = np.empty(x_arr.shape, dtype=complex)
     for i, xi in enumerate(x_arr):
         first = cmath.exp(-tau * xi) * pn(-2.0 * tau * xi)
         if xi == 0.0:

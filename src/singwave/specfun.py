@@ -11,6 +11,7 @@ All functions are pure and reentrant.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -289,6 +290,7 @@ def laguerre_coeffs(n, beta):
     return PolynomialCoeffs(tuple(coeffs))
 
 
+@functools.lru_cache(maxsize=None)
 def p_poly(n):
     """The auxiliary polynomial family of degree n from the Green's-function
     construction: constant term 1, leading coefficient equal to that of
@@ -348,6 +350,69 @@ def exp_integral_e1(z):
     if abs(z) <= _E1_SWITCH_ABS:
         return _e1_series(z)
     return _e1_continued_fraction(z)
+
+
+def exp_integral_e1_array(z):
+    """exp_integral_e1 over a numpy array of z, same shape out.
+
+    Runs the scalar series (|z| <= 2) and modified-Lentz continued fraction
+    (beyond) in lockstep over the elements, each element stopping under the
+    scalar stopping rule; results agree with exp_integral_e1 up to the
+    rounding of numpy's complex arithmetic.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    if np.any(flat.real <= 0):
+        raise ValueError("exp_integral_e1_array requires Re z > 0")
+    out = np.empty_like(flat)
+
+    series = np.abs(flat) <= _E1_SWITCH_ABS
+    idx = np.flatnonzero(series)
+    zz = flat[idx]
+    acc = -EULER_GAMMA - np.log(zz)
+    term = np.ones_like(zz)
+    for k in range(1, _E1_MAX_ITER):
+        if idx.size == 0:
+            break
+        term = term * (-zz) / k
+        contrib = -term / k
+        acc += contrib
+        done = np.abs(contrib) < _SERIES_RTOL * np.abs(acc)
+        if done.any():
+            out[idx[done]] = acc[done]
+            keep = ~done
+            idx, zz, term, acc = idx[keep], zz[keep], term[keep], acc[keep]
+    if idx.size:
+        raise ConvergenceError("E1 series did not converge", flat[idx[0]],
+                               _E1_MAX_ITER)
+
+    # E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...)))
+    idx = np.flatnonzero(~series)
+    zz = flat[idx]
+    tiny = 1e-300
+    b = zz + 1.0
+    c = np.full_like(zz, 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
+    for k in range(1, _E1_MAX_ITER):
+        if idx.size == 0:
+            break
+        a = -k * k * 1.0
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[idx[done]] = np.exp(-zz[done]) * h[done]
+            keep = ~done
+            idx, zz, b, c, d, h = (idx[keep], zz[keep], b[keep], c[keep],
+                                   d[keep], h[keep])
+    if idx.size:
+        raise ConvergenceError("E1 continued fraction did not converge",
+                               flat[idx[0]], _E1_MAX_ITER)
+    return out.reshape(z.shape)
 
 
 def second_solution_v(n, xi):

@@ -11,6 +11,7 @@ receding real parts.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -264,6 +265,16 @@ def _laguerre_mu(n):
     for _ in range(3):
         x = x + laguerre(n, 1, x) / laguerre(n - 1, 2, x)
     return np.sort(-x / 2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def laguerre_poles(n):
+    """The spectrum at alpha = n + 1 as a tuple of floats, ascending: the
+    poles mu_k of the integer-alpha Laplace solution (roots of
+    L_n^(1)(-2 mu)). Cached per n."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return tuple(float(mu) for mu in _laguerre_mu(n))
 
 
 def _real_eigenvalues_generic(problem):

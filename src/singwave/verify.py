@@ -19,8 +19,9 @@ from scipy.interpolate import CubicSpline
 
 from .data import InitialData
 from .evolution import projection_condition
-from .laplace import LaplaceRHS, _poles
+from .laplace import LaplaceRHS
 from .specfun import laguerre
+from .spectrum import laguerre_poles
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def gupta_bound_check(n_max):
     """
     rows = []
     for n in range(1, n_max + 1):
-        mu_max = max(_poles(n))  # least-negative eigenvalue
+        mu_max = max(laguerre_poles(n))  # least-negative eigenvalue
         bound = 3.0 / (2.0 + n)
         if abs(mu_max) > bound * (1.0 + 1e-10):
             raise AssertionError(
@@ -142,7 +143,7 @@ def lemma_condition_identity(data, n):
     """
     energy_side = projection_condition(data, n)
     rhs = LaplaceRHS(data, n)
-    poles = _poles(n)
+    poles = laguerre_poles(n)
     worst = 0.0
     for mu, lhs in zip(poles, energy_side):
         def integrand(x, mu=mu):

@@ -181,6 +181,14 @@ class TestSimulate:
                                "--dt", "0.01", "--N", "50")
         assert code == 2
 
+    def test_negative_damping_is_computation_error(self, capsys, tmp_path):
+        # anti-damping raises the energy on the first step
+        code, _, err = run_cli(capsys, "simulate", "--alpha", "-0.5",
+                               "--T", "0.1", "--dt", "1e-3", "--N", "200",
+                               "--out", str(tmp_path / "run.snap"))
+        assert code == 1
+        assert "computation error" in err
+
 
 class TestExtinction:
     def test_noninteger_rejected(self, capsys):

@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from scipy.sparse.linalg import splu
 
+from singwave import evolution
 from singwave.data import (InitialData, bump_data, combine, mode_data,
                            sine_data, zero_data)
-from singwave.evolution import (EnergyTrace, Grid, State, apply_generator,
+from singwave.evolution import (EnergyIncreaseError, EnergyTrace,
+                                EvolutionError, Grid, State, apply_generator,
                                 decay_rate, energy, extinction_time,
                                 project_out, projection_condition, simulate)
 
@@ -117,6 +121,116 @@ class TestSimulate:
             simulate(1.0, sine_data(1), 1.0, 0.1, scheme="euler")
 
 
+def _block_trapezoid(alpha, data, dt, N, n_steps):
+    """Reference stepper: the trapezoidal rule on the 2N block system
+    w = (u, v), w' = (I - dt/2 G)^-1 (I + dt/2 G) w, G = [[0, I], [L, -D]],
+    by sparse LU."""
+    g = Grid(N)
+    x = g.nodes
+    lap = sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(N, N)) / g.h ** 2
+    gen = sparse.bmat([[None, sparse.identity(N)],
+                       [lap, -sparse.diags(2.0 * alpha / x)]], format="csc")
+    eye = sparse.identity(2 * N, format="csc")
+    lu = splu((eye - 0.5 * dt * gen).tocsc())
+    forward = (eye + 0.5 * dt * gen).tocsr()
+    w = np.concatenate([data.u0(x), data.u1(x)])
+    energies = [energy(g, State(w[:N], w[N:]))]
+    for _ in range(n_steps):
+        w = lu.solve(forward @ w)
+        energies.append(energy(g, State(w[:N], w[N:])))
+    return w[:N], w[N:], np.array(energies)
+
+
+def _schur_trapezoid_extended(alpha, data, dt, N, n_steps):
+    """Reference stepper in extended precision (np.longdouble): the same
+    trapezoidal recursion, v' from (I + cD - c^2 L) v' = (I - cD) v
+    + c L (2u + cv) by a Thomas sweep, then u' = u + c (v + v')."""
+    ld = np.longdouble
+    g = Grid(N)
+    x = g.nodes.astype(ld)
+    h, c = ld(1) / ld(N + 1), ld(dt) / 2
+    u, v = data.u0(g.nodes).astype(ld), data.u1(g.nodes).astype(ld)
+    damp = c * 2 * ld(alpha) / x
+    off = -c * c / (h * h)
+    piv = 1 + damp - 2 * off
+    for i in range(1, N):
+        piv[i] -= off * off / piv[i - 1]
+    for _ in range(n_steps):
+        s = np.concatenate([[ld(0)], 2 * u + c * v, [ld(0)]])
+        r = (1 - damp) * v + c * (s[:-2] - 2 * s[1:-1] + s[2:]) / (h * h)
+        for i in range(1, N):
+            r[i] -= off / piv[i - 1] * r[i - 1]
+        r[-1] /= piv[-1]
+        for i in range(N - 2, -1, -1):
+            r[i] = (r[i] - off * r[i + 1]) / piv[i]
+        u, v = u + c * (v + r), r
+    return u, v
+
+
+class TestStepperOracle:
+    # The block system's own rounding puts its v up to ~2e-12 max|v| away
+    # from the exact recursion at N = 300 (measured against the extended
+    # precision reference below), so v is held to 5e-12 there and to
+    # 1e-12 against the extended-precision reference.
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.7])
+    @pytest.mark.parametrize("N", [40, 300])
+    @pytest.mark.parametrize("make", [lambda: sine_data(1), bump_data],
+                             ids=["sine", "bump"])
+    def test_matches_block_system(self, alpha, N, make):
+        dt, n_steps = 1e-3, 300
+        data = make()
+        u, v, energies = _block_trapezoid(alpha, data, dt, N, n_steps)
+        run = simulate(alpha, data, n_steps * dt, dt, N=N,
+                       snapshot_times=[n_steps * dt])
+        got = run.snapshots[-1]
+        assert len(run.trace.energies) == n_steps + 1
+        assert np.max(np.abs(got.u - u)) <= 1e-12 * np.max(np.abs(u))
+        assert np.max(np.abs(got.v - v)) <= 5e-12 * np.max(np.abs(v))
+        assert np.max(np.abs(run.trace.energies - energies)) \
+            <= 1e-12 * energies[0]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble is not extended precision")
+    @pytest.mark.parametrize("alpha", [0.5, 3.7])
+    @pytest.mark.parametrize("make", [lambda: sine_data(1), bump_data],
+                             ids=["sine", "bump"])
+    def test_matches_extended_precision(self, alpha, make):
+        dt, n_steps, N = 1e-3, 300, 300
+        data = make()
+        u, v = _schur_trapezoid_extended(alpha, data, dt, N, n_steps)
+        got = simulate(alpha, data, n_steps * dt, dt, N=N,
+                       snapshot_times=[n_steps * dt]).snapshots[-1]
+        assert float(np.max(np.abs(got.u - u))) \
+            <= 1e-12 * float(np.max(np.abs(u)))
+        assert float(np.max(np.abs(got.v - v))) \
+            <= 1e-12 * float(np.max(np.abs(v)))
+
+
+class TestStepAudit:
+    def test_energy_audit_fires_on_first_step(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_ENERGY_INCREASE_TOL", -1.0)
+        with pytest.raises(EnergyIncreaseError) as info:
+            simulate(2.0, sine_data(1), 0.1, 1e-3, N=50)
+        assert info.value.step == 1
+
+    def test_non_finite_state(self):
+        def u1(x):
+            out = np.zeros_like(np.asarray(x, dtype=float))
+            out[len(out) // 2] = np.nan
+            return out
+
+        base = sine_data(1)
+        data = InitialData(base.u0, u1, base.du0, label="nan")
+        with pytest.raises(EvolutionError,
+                           match="non-finite state at step 1$"):
+            simulate(2.0, data, 0.1, 1e-3, N=50)
+
+    def test_indefinite_step_matrix(self):
+        # strong anti-damping makes I + cD - c^2 L indefinite
+        with pytest.raises(EvolutionError, match="factorization failed"):
+            simulate(-1000.0, sine_data(1), 0.5, 0.1, N=50)
+
+
 class TestProjection:
     def test_mode_pairing_magnitude(self):
         # oracle: direct quadrature of the energy pairing for mode data
@@ -126,8 +240,8 @@ class TestProjection:
         c = projection_condition(data, n)
         assert abs(c[0]) > 1e-3  # nonzero self-pairing
         mu = math.nan
-        from singwave.laplace import _poles
-        mus = _poles(n)
+        from singwave.spectrum import laguerre_poles
+        mus = laguerre_poles(n)
         from singwave.specfun import laguerre
         mu = mus[0]
         f = lambda x: x * np.exp(mu * x) * np.real(

@@ -9,10 +9,12 @@ import pytest
 
 from singwave.data import bump_data, mode_data, sine_data, zero_data
 from singwave.evolution import project_out
-from singwave.laplace import (LaplaceRHS, PoleProximityError, green_g1,
-                              green_g2, laplace_U_alpha1, partial_fractions,
+from singwave.laplace import (LaplaceRHS, PoleProximityError, _bracket_factor,
+                              _log_integral, green_g1, green_g2,
+                              laplace_U_alpha1, partial_fractions,
                               solve_laplace_U, tail_u2)
-from singwave.specfun import laguerre, laguerre_coeffs, p_poly
+from singwave.specfun import (exp_integral_e1, laguerre, laguerre_coeffs,
+                              p_poly)
 
 
 class TestPartialFractions:
@@ -75,6 +77,36 @@ class TestGreenKernels:
         f = x * math.exp(mu * x) * np.real(laguerre(n, 1, -2 * mu * x))
         want = -(f ** 2) * math.exp(-2 * mu) / (n + 1)
         assert green_g2(n, x, x, mu) == pytest.approx(want, rel=1e-12)
+
+
+class TestBracketFactor:
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("tau", [2.5 + 0.2j, 0.3 - 4.0j, 7.0, -0.4 + 1.5j,
+                                     -1.0 - 0.5j])
+    def test_matches_node_loop(self, n, tau):
+        # oracle: the bracket written node by node, with scalar E1
+        # differences (Re tau > 0) or the quadrature of _log_integral
+        x = np.concatenate([[0.0], np.linspace(1e-6, 1.0, 41), [1.0]])
+        pn = p_poly(n)
+        want = np.empty(x.shape, dtype=complex)
+        for i, xi in enumerate(x):
+            first = cmath.exp(-tau * xi) * pn(-2.0 * tau * xi)
+            if xi == 0.0:
+                want[i] = first
+                continue
+            if tau.real > 0 and xi < 1.0:
+                log_int = (exp_integral_e1(2.0 * tau * xi)
+                           - exp_integral_e1(2.0 * tau))
+            else:
+                log_int = _log_integral(xi, complex(tau))
+            inner = 2.0 * tau * log_int + cmath.exp(-2.0 * tau)
+            want[i] = first - xi * cmath.exp(tau * xi) \
+                * laguerre(n, 1, -2.0 * tau * xi) * inner
+        got = _bracket_factor(n, x, complex(tau))
+        assert got[0] == 1.0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert _bracket_factor(n, x[7], complex(tau)) == pytest.approx(
+            got[7], rel=1e-14)
 
 
 class TestSolveLaplace:

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singwave.specfun import (ConvergenceError, PolynomialCoeffs,
-                              exp_integral_e1, kummer_m, kummer_m_array,
+                              exp_integral_e1, exp_integral_e1_array,
+                              kummer_m, kummer_m_array,
                               kummer_m_dz, laguerre, laguerre_coeffs, p_poly,
                               second_solution_v)
 
@@ -236,6 +237,46 @@ class TestExpIntegral:
     def test_domain(self):
         with pytest.raises(ValueError):
             exp_integral_e1(-1.0)
+
+
+def _e1_grid():
+    # both branches; theta = 0 puts z = 1e-8, 2 (the switch) and 50 on it
+    r = np.concatenate([np.geomspace(1e-8, 50.0, 40), [2.0]])
+    theta = np.linspace(-1.5, 1.5, 13)
+    return (r[:, None] * np.exp(1j * theta[None, :])).ravel()
+
+
+class TestExpIntegralArray:
+    def test_matches_scalar(self):
+        z = _e1_grid()
+        got = exp_integral_e1_array(z)
+        want = np.array([exp_integral_e1(w) for w in z])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_against_mpmath(self):
+        z = _e1_grid()
+        got = exp_integral_e1_array(z)
+        with mpmath.workdps(30):
+            want = np.array([complex(mpmath.e1(mpmath.mpc(w))) for w in z])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_shape_kept(self):
+        z = np.array([[0.5, 3.0], [1.0 + 1j, 40.0 - 2j]])
+        got = exp_integral_e1_array(z)
+        assert got.shape == z.shape
+        assert got[1, 0] == pytest.approx(exp_integral_e1(1.0 + 1j),
+                                          rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 1j, -0.5 + 3j])
+    def test_domain(self, bad):
+        with pytest.raises(ValueError):
+            exp_integral_e1_array(np.array([1.0, bad]))
+
+    def test_nan_raises_like_scalar(self):
+        with pytest.raises(ConvergenceError):
+            exp_integral_e1(complex(np.nan, 1.0))
+        with pytest.raises(ConvergenceError), np.errstate(invalid="ignore"):
+            exp_integral_e1_array(np.array([1.0, complex(np.nan, 1.0)]))
 
 
 class TestSecondSolution:
