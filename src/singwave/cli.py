@@ -118,6 +118,15 @@ def _metadata(config, **extra):
     return md
 
 
+def _positive_alpha(cfg):
+    if cfg["alpha"] is None:
+        raise ConfigError("--alpha is required")
+    alpha = float(cfg["alpha"])
+    if not alpha > 0:
+        raise ConfigError("alpha must be positive")
+    return alpha
+
+
 def make_initial_data(preset, alpha):
     if preset.startswith("sine:"):
         return sine_data(int(preset.split(":", 1)[1]))
@@ -264,9 +273,7 @@ def _write_energy(run, out):
 
 def cmd_simulate(args):
     cfg = _effective(args, _SIM_DEFAULTS)
-    if cfg["alpha"] is None:
-        raise ConfigError("--alpha is required")
-    alpha = float(cfg["alpha"])
+    alpha = _positive_alpha(cfg)
     n = round(alpha - 1)
     if cfg["project"] and (abs(alpha - (n + 1)) > 1e-12 or n < 1):
         raise ConfigError("--project requires integer alpha >= 2")
@@ -289,9 +296,7 @@ _EXT_DEFAULTS = {"alpha": None, "preset": "sine:1", "project": False,
 
 def cmd_extinction(args):
     cfg = _effective(args, _EXT_DEFAULTS)
-    if cfg["alpha"] is None:
-        raise ConfigError("--alpha is required")
-    alpha = float(cfg["alpha"])
+    alpha = _positive_alpha(cfg)
     n = round(alpha - 1)
     integer = abs(alpha - (n + 1)) <= 1e-12 and n >= 0
     if not integer and not cfg["allow_noninteger"]:
@@ -353,40 +358,8 @@ _VERIFY_DEFAULTS = {"check": "all", "trials": 200, "seed": 0, "nmax": 20}
 
 def cmd_verify(args):
     cfg = _effective(args, _VERIFY_DEFAULTS)
-    which = cfg["check"]
-    results = {}
-    if which in ("all", "hardy"):
-        rng = np.random.default_rng(int(cfg["seed"]))
-        ok = True
-        worst = 0.0
-        for _ in range(int(cfg["trials"])):
-            su, _sv = verify_mod.random_witness(rng)
-            lhs, rhs = verify_mod.hardy_check(su, su.derivative())
-            if rhs > 0:
-                worst = max(worst, lhs / rhs)
-            ok = ok and lhs <= rhs * (1.0 + 1e-6)
-        results["hardy"] = {"passed": ok, "worst_ratio": worst}
-    if which in ("all", "resolvent"):
-        ratio, _ = verify_mod.resolvent_bound_check(
-            2.0, 0.0, 5.0, trials=int(cfg["trials"]), seed=int(cfg["seed"]))
-        results["resolvent"] = {"passed": ratio >= 0.95,
-                                "worst_ratio": ratio}
-    if which in ("all", "gupta"):
-        try:
-            rows = verify_mod.gupta_bound_check(int(cfg["nmax"]))
-            results["gupta"] = {
-                "passed": True,
-                "table": [{"n": n, "mu_max_abs": m, "bound": b}
-                          for n, m, b in rows]}
-        except AssertionError as exc:
-            results["gupta"] = {"passed": False, "error": str(exc)}
-    if which in ("all", "pairing"):
-        worst = max(verify_mod.lemma_condition_identity(sine_data(1), n)
-                    for n in (1, 2, 3))
-        results["pairing"] = {"passed": worst < 1e-8,
-                              "max_discrepancy": worst}
-    if not results:
-        raise ConfigError(f"unknown check {which!r}")
+    results = verify_mod.run_all(int(cfg["seed"]), int(cfg["trials"]),
+                                 int(cfg["nmax"]), check=cfg["check"])
     all_ok = all(r["passed"] for r in results.values())
     md = _metadata(cfg, seed=int(cfg["seed"]))
     if args.format == "csv":
@@ -465,8 +438,7 @@ def build_parser():
     ex.set_defaults(func=cmd_extinction)
 
     vf = subs.add_parser("verify", help="inequality verification suite")
-    vf.add_argument("--check",
-                    choices=["all", "hardy", "resolvent", "gupta", "pairing"])
+    vf.add_argument("--check", choices=["all", *verify_mod.CHECKS])
     vf.add_argument("--trials", type=int)
     vf.add_argument("--seed", type=int)
     vf.add_argument("--nmax", type=int)

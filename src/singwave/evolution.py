@@ -187,10 +187,14 @@ def simulate(alpha, initial, T, dt, scheme="implicit-midpoint", N=2000,
         v *= c
         u += v
         v = v_new
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        e = audit_energy()
+        # NaN and inf reach e through the squares, so a finite e is a
+        # finite state; a finite state whose energy overflows goes on to
+        # the increase audit
+        if not math.isfinite(e) and not (np.isfinite(u).all()
+                                         and np.isfinite(v).all()):
             raise EvolutionError(f"linear solve produced non-finite state "
                                  f"at step {step}")
-        e = audit_energy()
         inc = (e - energies[step - 1]) / e0 if e0 > 0 else 0.0
         if inc > max_inc:
             max_inc = inc

@@ -10,14 +10,15 @@ evolution modules together, so it doubles as a cross-module oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
-from .data import InitialData
+from .data import InitialData, sine_data
 from .evolution import projection_condition
 from .laplace import LaplaceRHS
 from .specfun import laguerre
@@ -38,24 +39,55 @@ def _quad(f, a=0.0, b=1.0):
                                 limit=200)[0]
 
 
+@functools.cache
+def _legendre_rule():
+    # 16-point Gauss-Legendre rule on [-1, 1], exact for degree <= 31;
+    # computed on first use because leggauss initialises LAPACK (~0.8 MB)
+    return np.polynomial.legendre.leggauss(16)
+
+
+def _gauss_legendre(breaks):
+    """Nodes and weights of the composite rule over the panels of breaks."""
+    nodes, weights = _legendre_rule()
+    half = 0.5 * np.diff(breaks)[:, None]
+    mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]
+    return (mid + half * nodes).ravel(), (half * weights).ravel()
+
+
 def hardy_check(psi, dpsi=None):
     """(lhs, rhs) of int |psi|^2/x^2 <= 4 int |psi'|^2 for psi(0)=psi(1)=0.
 
-    psi may be a callable (with optional derivative) or a grid vector on a
-    uniform interior grid, in which case a spline supplies the derivative.
+    psi may be a piecewise polynomial (a scipy PPoly such as a CubicSpline),
+    a callable with optional derivative, or a grid vector on a uniform
+    interior grid. Grid vectors, and callables given without a derivative,
+    are replaced by their cubic spline.
+
+    Both integrals use composite 16-point Gauss-Legendre quadrature. For a
+    spline the panels are its own pieces, so 4 int |psi'|^2 is exact (degree
+    4 per piece), and so is int |psi|^2/x^2 on the first piece, where
+    psi(0) = 0 makes psi/x a polynomial. With uniform knots, 1/x^2 is
+    analytic at least three half-widths away from every other piece, where
+    the rule's relative error is below 1e-20. No node sits at x = 0. A
+    plain callable, evaluated one scalar at a time, uses 64 uniform panels.
     """
     if not callable(psi):
         vals = np.asarray(psi, dtype=float)
         x = np.linspace(0.0, 1.0, len(vals) + 2)
-        spline = CubicSpline(x, np.concatenate([[0.0], vals, [0.0]]))
-        psi, dpsi = spline, spline.derivative()
-    if dpsi is None:
+        psi = CubicSpline(x, np.concatenate([[0.0], vals, [0.0]]))
+    elif dpsi is None and not isinstance(psi, PPoly):
         spline_x = np.linspace(0.0, 1.0, 2001)
-        spline = CubicSpline(spline_x, psi(spline_x))
-        dpsi = spline.derivative()
-    # psi(x)/x is bounded (psi(0)=0), so the integrand is regular
-    lhs = _quad(lambda x: (psi(x) / x) ** 2 if x > 0 else float(dpsi(0.0)) ** 2)
-    rhs = 4.0 * _quad(lambda x: float(dpsi(x)) ** 2)
+        psi = CubicSpline(spline_x, psi(spline_x))
+    if isinstance(psi, PPoly):
+        breaks = np.union1d([0.0, 1.0], np.clip(psi.x, 0.0, 1.0))
+        if dpsi is None:
+            dpsi = psi.derivative()
+    else:
+        breaks = np.linspace(0.0, 1.0, 65)
+        psi = np.vectorize(psi, otypes=[float])
+        dpsi = np.vectorize(dpsi, otypes=[float])
+    x, w = _gauss_legendre(breaks)
+    lhs = float(w @ (psi(x) / x) ** 2)
+    rhs = 4.0 * float(w @ dpsi(x) ** 2)
     return lhs, rhs
 
 
@@ -155,30 +187,48 @@ def lemma_condition_identity(data, n):
     return worst
 
 
-def run_all(seed=0, trials=200, n_max=20):
-    """The full verification suite; returns {name: (passed, margin_info)}."""
+CHECKS = ("hardy", "resolvent", "gupta", "pairing")
+
+
+def run_all(seed=0, trials=200, n_max=20, check="all"):
+    """The verification suite, or the one check named by check.
+
+    Returns {name: {"passed": bool, ...margin fields}} in CHECKS order:
+    hardy over trials random spline witnesses, the resolvent bound at
+    alpha = 2, tau = 5i over trials witnesses, the root-magnitude bound for
+    n = 1..n_max, and the pairing identity for sine data at n = 1, 2, 3.
+    """
+    if check != "all" and check not in CHECKS:
+        raise ValueError(f"unknown check {check!r}")
     results = {}
-
-    lhs, rhs = hardy_check(lambda x: x * (1.0 - x),
-                           lambda x: 1.0 - 2.0 * x)
-    ok = lhs <= rhs * (1.0 + 1e-6)
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        su, _sv = random_witness(rng)
-        l, r = hardy_check(su, su.derivative())
-        ok = ok and l <= r * (1.0 + 1e-6)
-    results["hardy"] = (ok, {"sample_lhs": lhs, "sample_rhs": rhs})
-
-    worst, _ = resolvent_bound_check(2.0, 0.0, 5.0, trials=trials, seed=seed)
-    results["resolvent"] = (worst >= 0.95, {"worst_ratio": worst})
-
-    try:
-        rows = gupta_bound_check(n_max)
-        results["gupta"] = (True, {"rows": rows})
-    except AssertionError as exc:
-        results["gupta"] = (False, {"error": str(exc)})
-
-    from .data import sine_data
-    disc = max(lemma_condition_identity(sine_data(1), n) for n in (1, 2, 3))
-    results["pairing-identity"] = (disc < 1e-8, {"max_discrepancy": disc})
+    if check in ("all", "hardy"):
+        rng = np.random.default_rng(seed)
+        ok = True
+        worst = 0.0
+        for _ in range(trials):
+            su, _sv = random_witness(rng)
+            lhs, rhs = hardy_check(su, su.derivative())
+            if rhs > 0:
+                worst = max(worst, lhs / rhs)
+            ok = ok and lhs <= rhs * (1.0 + 1e-6)
+        results["hardy"] = {"passed": ok, "worst_ratio": worst}
+    if check in ("all", "resolvent"):
+        ratio, _ = resolvent_bound_check(2.0, 0.0, 5.0, trials=trials,
+                                         seed=seed)
+        results["resolvent"] = {"passed": ratio >= 0.95,
+                                "worst_ratio": ratio}
+    if check in ("all", "gupta"):
+        try:
+            rows = gupta_bound_check(n_max)
+            results["gupta"] = {
+                "passed": True,
+                "table": [{"n": n, "mu_max_abs": m, "bound": b}
+                          for n, m, b in rows]}
+        except AssertionError as exc:
+            results["gupta"] = {"passed": False, "error": str(exc)}
+    if check in ("all", "pairing"):
+        worst = max(lemma_condition_identity(sine_data(1), n)
+                    for n in (1, 2, 3))
+        results["pairing"] = {"passed": worst < 1e-8,
+                              "max_discrepancy": worst}
     return results

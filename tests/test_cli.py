@@ -181,13 +181,16 @@ class TestSimulate:
                                "--dt", "0.01", "--N", "50")
         assert code == 2
 
-    def test_negative_damping_is_computation_error(self, capsys, tmp_path):
-        # anti-damping raises the energy on the first step
-        code, _, err = run_cli(capsys, "simulate", "--alpha", "-0.5",
-                               "--T", "0.1", "--dt", "1e-3", "--N", "200",
-                               "--out", str(tmp_path / "run.snap"))
-        assert code == 1
-        assert "computation error" in err
+    def test_nonpositive_alpha_is_config_error(self, capsys, tmp_path):
+        # anti-damping is outside the model; the library-level energy
+        # audit is covered in test_evolution
+        for alpha in ("0", "-0.5"):
+            code, _, err = run_cli(capsys, "simulate", "--alpha", alpha,
+                                   "--T", "0.1", "--dt", "1e-3", "--N", "200",
+                                   "--out", str(tmp_path / "run.snap"))
+            assert code == 2
+            assert "config error: alpha must be positive" in err
+        assert not (tmp_path / "run.snap").exists()
 
 
 class TestExtinction:
@@ -195,6 +198,14 @@ class TestExtinction:
         code, _, err = run_cli(capsys, "extinction", "--alpha", "1.5")
         assert code == 2
         assert "allow-noninteger" in err
+
+    def test_nonpositive_alpha_is_config_error(self, capsys):
+        for extra in ((), ("--allow-noninteger",)):
+            for alpha in ("0", "-0.5"):
+                code, _, err = run_cli(capsys, "extinction", "--alpha", alpha,
+                                       "--N", "40", "--dt", "0.02", *extra)
+                assert code == 2
+                assert "config error: alpha must be positive" in err
 
     def test_report(self, capsys):
         code, out, _ = run_cli(capsys, "extinction", "--alpha", "1",

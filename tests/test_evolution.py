@@ -2,6 +2,7 @@
 stepper, spectral projections, extinction and decay-rate estimation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -224,6 +225,21 @@ class TestStepAudit:
         with pytest.raises(EvolutionError,
                            match="non-finite state at step 1$"):
             simulate(2.0, data, 0.1, 1e-3, N=50)
+
+    def test_energy_overflow_is_increase_not_non_finite(self):
+        # finite state, finite E(0) just below the float maximum;
+        # anti-damping lifts the sum of squares past it on step 1
+        N = 50
+        scale = math.sqrt(2.0 * (0.98 * sys.float_info.max / (N + 1)))
+        base = zero_data()
+        data = InitialData(
+            base.u0, lambda x: scale * np.sin(np.pi * np.asarray(x)),
+            base.du0, label="near-overflow")
+        with np.errstate(over="ignore"), \
+                pytest.raises(EnergyIncreaseError) as info:
+            simulate(-0.5, data, 0.1, 1e-2, N=N)
+        assert info.value.step == 1
+        assert info.value.ratio == math.inf
 
     def test_indefinite_step_matrix(self):
         # strong anti-damping makes I + cD - c^2 L indefinite
