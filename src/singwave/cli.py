@@ -26,7 +26,7 @@ from .evolution import (EvolutionError, decay_rate, extinction_time,
 from .laplace import LaplaceError, tail_u2
 from .specfun import SpecialFunctionError
 from .spectrum import (SpectralProblem, SpectrumError, alpha_sweep,
-                       find_eigenvalues, spectral_abscissa)
+                       find_eigenvalues, integer_n, spectral_abscissa)
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -93,6 +93,15 @@ def _jobs(args):
     return 1
 
 
+def _write(text, out):
+    """Write text to stdout (out None or '-') or to the file out."""
+    if out in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(out, "w") as fh:
+            fh.write(text)
+
+
 def _emit(payload_rows, header, metadata, fmt, out):
     """payload_rows: list of dicts with keys = header."""
     if fmt == "csv":
@@ -105,11 +114,7 @@ def _emit(payload_rows, header, metadata, fmt, out):
     else:
         text = json.dumps({"metadata": metadata, "rows": payload_rows},
                           indent=2, default=float) + "\n"
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _write(text, out)
 
 
 def _metadata(config, **extra):
@@ -127,6 +132,15 @@ def _positive_alpha(cfg):
     return alpha
 
 
+def _mode_count(alpha, what):
+    """The number n of standing modes at alpha = n + 1; a ConfigError
+    naming what needs them unless alpha is integer (integer_n) and n >= 1."""
+    n = integer_n(alpha)
+    if n is None or n < 1:
+        raise ConfigError(f"{what} integer alpha >= 2")
+    return n
+
+
 def make_initial_data(preset, alpha):
     if preset.startswith("sine:"):
         return sine_data(int(preset.split(":", 1)[1]))
@@ -134,10 +148,7 @@ def make_initial_data(preset, alpha):
         return bump_data()
     if preset.startswith("mode:"):
         k = int(preset.split(":", 1)[1])
-        n = round(alpha - 1)
-        if abs(alpha - (n + 1)) > 1e-12 or n < 1:
-            raise ConfigError("mode:k presets need integer alpha >= 2")
-        return mode_data(n, k)
+        return mode_data(_mode_count(alpha, "mode:k presets need"), k)
     if preset.startswith("file:"):
         path = preset.split(":", 1)[1]
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -250,12 +261,7 @@ def _write_snapshots(run, out):
         for xi, ui, vi in zip(x, state.u, state.v):
             lines.append(f"{t:.10g},{xi:.10g},{ui:.16g},{vi:.16g}")
         lines.append("")
-    text = "\n".join(lines) + "\n"
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 def _write_energy(run, out):
@@ -264,19 +270,14 @@ def _write_energy(run, out):
     writer.writerow(["t", "E"])
     for t, e in zip(run.trace.times, run.trace.energies):
         writer.writerow([f"{t:.10g}", f"{e:.16g}"])
-    if out in (None, "-"):
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(out, "w") as fh:
-            fh.write(buf.getvalue())
+    _write(buf.getvalue(), out)
 
 
 def cmd_simulate(args):
     cfg = _effective(args, _SIM_DEFAULTS)
     alpha = _positive_alpha(cfg)
-    n = round(alpha - 1)
-    if cfg["project"] and (abs(alpha - (n + 1)) > 1e-12 or n < 1):
-        raise ConfigError("--project requires integer alpha >= 2")
+    if cfg["project"]:
+        n = _mode_count(alpha, "--project requires")
     data = make_initial_data(cfg["preset"], alpha)
     if cfg["project"]:
         data = project_out(data, n)
@@ -297,13 +298,13 @@ _EXT_DEFAULTS = {"alpha": None, "preset": "sine:1", "project": False,
 def cmd_extinction(args):
     cfg = _effective(args, _EXT_DEFAULTS)
     alpha = _positive_alpha(cfg)
-    n = round(alpha - 1)
-    integer = abs(alpha - (n + 1)) <= 1e-12 and n >= 0
+    n = integer_n(alpha)
+    integer = n is not None
     if not integer and not cfg["allow_noninteger"]:
         raise ConfigError("extinction study expects integer alpha; "
                           "pass --allow-noninteger to override")
-    if cfg["project"] and (not integer or n < 1):
-        raise ConfigError("--project requires integer alpha >= 2")
+    if cfg["project"]:
+        _mode_count(alpha, "--project requires")
     data = make_initial_data(cfg["preset"], alpha)
     report = {"alpha": alpha, "preset": cfg["preset"],
               "projected": bool(cfg["project"])}
@@ -342,13 +343,8 @@ def cmd_extinction(args):
         tr = run.trace
         if tr.energies[-1] > 0:
             report["decay_rate"] = decay_rate(tr, (2.0, tr.times[-1]))
-    text = json.dumps({"metadata": _metadata(cfg), "report": report},
-                      indent=2, default=float) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write(json.dumps({"metadata": _metadata(cfg), "report": report},
+                      indent=2, default=float) + "\n", args.out)
 
 
 # ------------------------------------------------------------------ verify

@@ -8,8 +8,6 @@ Hardy inequality keeps square integrable.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.interpolate import CubicSpline
 
@@ -27,10 +25,6 @@ class InitialData:
                 safe = np.where(small, 1.0, x)
                 return np.where(small, du0(x), u0(safe) / safe)
         self.u0_over_x = u0_over_x
-
-    @classmethod
-    def from_callables(cls, u0, u1, du0, label="custom"):
-        return cls(u0, u1, du0, label=label)
 
     @classmethod
     def from_grid(cls, x, u0, u1, label="grid"):
@@ -103,35 +97,13 @@ def bump_data():
 
 def mode_data(n, k):
     """Standing-wave data for integer damping alpha = n + 1: (f_k, mu_k f_k)
-    with f_k(x) = x e^(mu_k x) L_n^(1)(-2 mu_k x), yielding the exact
-    solution e^(mu_k t) f_k(x)."""
-    from .spectrum import laguerre_poles
-    from .specfun import laguerre
+    with f_k = spectrum.standing_mode(n, k).f, yielding the exact solution
+    e^(mu_k t) f_k(x)."""
+    from .spectrum import standing_mode
 
-    if n < 1:
-        raise ValueError("mode data requires n >= 1 (alpha >= 2)")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}")
-    mu = laguerre_poles(n)[k - 1]
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return x * np.exp(mu * x) * np.real(laguerre(n, 1, -2.0 * mu * x))
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        l1 = np.real(laguerre(n, 1, -2.0 * mu * x))
-        l2 = np.real(laguerre(n - 1, 2, -2.0 * mu * x))
-        return np.exp(mu * x) * ((1.0 + mu * x) * l1 + 2.0 * mu * x * l2)
-
-    return InitialData(
-        u0=f,
-        u1=lambda x: mu * f(x),
-        du0=df,
-        u0_over_x=lambda x: np.exp(mu * np.asarray(x, dtype=float))
-        * np.real(laguerre(n, 1, -2.0 * mu * np.asarray(x, dtype=float))),
-        label=f"mode:{k}",
-    )
+    mu, f, df, f_over_x = standing_mode(n, k)
+    return InitialData(u0=f, u1=lambda x: mu * f(x), du0=df,
+                       u0_over_x=f_over_x, label=f"mode:{k}")
 
 
 def zero_data():

@@ -22,17 +22,15 @@ factored once by LAPACK's dpttrf and every step is one dpttrs solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
 from scipy.linalg import lapack
 
 from .data import InitialData
-from .spectrum import laguerre_poles
-from .specfun import laguerre
+from .spectrum import standing_mode
 
-_SCHEMES = ("implicit-midpoint", "crank-nicolson")
 _ENERGY_INCREASE_TOL = 1e-10
 _GRAM_COND_MAX = 1e12
 
@@ -90,7 +88,6 @@ class SimulationRun:
     alpha: float
     grid: Grid
     dt: float
-    scheme: str
     snapshot_times: list
     snapshots: list  # of State
     trace: EnergyTrace
@@ -117,8 +114,8 @@ def apply_generator(alpha, grid, state):
     return State(v.copy(), lap - (2.0 * alpha / grid.nodes) * v)
 
 
-def simulate(alpha, initial, T, dt, scheme="implicit-midpoint", N=2000,
-             snapshot_times=None, n_snapshots=21):
+def simulate(alpha, initial, T, dt, N=2000, snapshot_times=None,
+             n_snapshots=21):
     """Trapezoidal-rule time stepping up to T with per-step energy audit.
 
     Snapshots are recorded at the requested times (rounded to step
@@ -126,8 +123,6 @@ def simulate(alpha, initial, T, dt, scheme="implicit-midpoint", N=2000,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     grid = Grid(N)
     x = grid.nodes
     h = grid.h
@@ -164,6 +159,11 @@ def simulate(alpha, initial, T, dt, scheme="implicit-midpoint", N=2000,
                          for t in snapshot_times})
 
     e0 = audit_energy()
+    # every increase over an infinite E(0) reads NaN, which no audit
+    # rejects; a NaN E(0) is a non-finite state, caught at step 1
+    if e0 == math.inf:
+        raise EvolutionError("initial energy is infinite; the energy audit "
+                             "cannot run")
     times = np.arange(n_steps + 1) * dt
     energies = np.empty(n_steps + 1)
     energies[0] = e0
@@ -204,26 +204,8 @@ def simulate(alpha, initial, T, dt, scheme="implicit-midpoint", N=2000,
         if step in snap_steps:
             snaps.append(State(u.copy(), v.copy()))
             snap_times.append(step * dt)
-    return SimulationRun(alpha, grid, dt, scheme, snap_times, snaps,
+    return SimulationRun(alpha, grid, dt, snap_times, snaps,
                          EnergyTrace(times, energies), max(max_inc, 0.0))
-
-
-def _modes(n):
-    out = []
-    for mu in laguerre_poles(n):
-
-        def f(x, mu=mu):
-            x = np.asarray(x, dtype=float)
-            return x * np.exp(mu * x) * np.real(laguerre(n, 1, -2.0 * mu * x))
-
-        def df(x, mu=mu):
-            x = np.asarray(x, dtype=float)
-            l1 = np.real(laguerre(n, 1, -2.0 * mu * x))
-            l2 = np.real(laguerre(n - 1, 2, -2.0 * mu * x))
-            return np.exp(mu * x) * ((1.0 + mu * x) * l1 + 2.0 * mu * x * l2)
-
-        out.append((mu, f, df))
-    return out
 
 
 def _quad(f, tol=1e-11):
@@ -238,7 +220,8 @@ def projection_condition(data, n):
     if n < 1:
         raise ValueError("n must be >= 1")
     out = np.empty(n)
-    for k, (mu, f, df) in enumerate(_modes(n)):
+    for k in range(n):
+        mu, f, df, _ = standing_mode(n, k + 1)
         a = _quad(lambda x: float(data.du0(x)) * float(df(x)))
         b = _quad(lambda x: float(data.u1(x)) * float(f(x)))
         out[k] = a - mu * b
@@ -248,11 +231,11 @@ def projection_condition(data, n):
 def project_out(data, n):
     """Data minus its component in the span of the standing-wave pairs
     (f_k, mu_k f_k), so that projection_condition of the result vanishes."""
-    modes = _modes(n)
+    modes = [standing_mode(n, k) for k in range(1, n + 1)]
     c = projection_condition(data, n)
     gram = np.empty((n, n))
-    for k, (mu_k, f_k, df_k) in enumerate(modes):
-        for j, (mu_j, f_j, df_j) in enumerate(modes):
+    for k, (mu_k, f_k, df_k, _) in enumerate(modes):
+        for j, (mu_j, f_j, df_j, _) in enumerate(modes):
             a = _quad(lambda x: float(df_j(x)) * float(df_k(x)))
             b = _quad(lambda x: float(f_j(x)) * float(f_k(x)))
             gram[k, j] = a - mu_k * mu_j * b
@@ -264,28 +247,27 @@ def project_out(data, n):
 
     def u0(x):
         acc = np.asarray(data.u0(x), dtype=float).copy()
-        for b_j, (mu, f, df) in zip(beta, modes):
-            acc -= b_j * f(x)
+        for b_j, m in zip(beta, modes):
+            acc -= b_j * m.f(x)
         return acc
 
     def u1(x):
         acc = np.asarray(data.u1(x), dtype=float).copy()
-        for b_j, (mu, f, df) in zip(beta, modes):
-            acc -= b_j * mu * f(x)
+        for b_j, m in zip(beta, modes):
+            acc -= b_j * m.mu * m.f(x)
         return acc
 
     def du0(x):
         acc = np.asarray(data.du0(x), dtype=float).copy()
-        for b_j, (mu, f, df) in zip(beta, modes):
-            acc -= b_j * df(x)
+        for b_j, m in zip(beta, modes):
+            acc -= b_j * m.df(x)
         return acc
 
     def u0_over_x(x):
         x = np.asarray(x, dtype=float)
         acc = np.asarray(data.u0_over_x(x), dtype=float).copy()
-        for b_j, (mu, f, df) in zip(beta, modes):
-            acc -= b_j * np.exp(mu * x) * np.real(
-                laguerre(len(modes), 1, -2.0 * mu * x))
+        for b_j, m in zip(beta, modes):
+            acc -= b_j * m.f_over_x(x)
         return acc
 
     return InitialData(u0=u0, u1=u1, du0=du0, u0_over_x=u0_over_x,

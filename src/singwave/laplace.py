@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from .specfun import (exp_integral_e1, exp_integral_e1_array, laguerre,
                       laguerre_coeffs, p_poly)
-from .spectrum import laguerre_poles
+from .spectrum import laguerre_poles, standing_mode
 
 _POLE_TOL = 1e-8
 _COEFF_MIN = 1e-12
@@ -256,8 +256,7 @@ def tail_u2(data, n, t, x_grid):
     c = -c / np.array(pf.poles)  # energy pairing -> L2 pairing with r
     x_grid = np.asarray(x_grid, dtype=float)
     out = np.zeros_like(x_grid)
-    for mu, a, c_k in zip(pf.poles, pf.coeffs, c):
-        f_k = x_grid * np.exp(mu * x_grid) \
-            * np.real(laguerre(n, 1, -2.0 * mu * x_grid))
+    for k, (mu, a, c_k) in enumerate(zip(pf.poles, pf.coeffs, c), start=1):
+        f_k = standing_mode(n, k).f(x_grid)
         out -= (a / (n + 1)) * math.exp(mu * (t - 2.0)) * c_k * f_k
     return out

@@ -14,6 +14,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -56,13 +57,21 @@ class NewtonError(SpectrumError):
         self.seed = seed
 
 
+def integer_n(alpha):
+    """n when alpha is within INTEGER_ALPHA_TOL of the positive integer
+    n + 1, else None: the one test for the integer-alpha fast path."""
+    nearest = round(alpha)
+    if nearest >= 1 and abs(alpha - nearest) <= INTEGER_ALPHA_TOL:
+        return int(nearest) - 1
+    return None
+
+
 @dataclass(frozen=True)
 class SpectralProblem:
     """Damping strength alpha plus the integer-case flag.
 
-    integer_n is set iff alpha is within INTEGER_ALPHA_TOL of a positive
-    integer (alpha = n + 1); pass force_generic=True to disable the integer
-    fast path, e.g. when probing the discontinuity at integer alpha.
+    integer_n is integer_n(alpha); pass force_generic=True to disable the
+    integer fast path, e.g. when probing the discontinuity at integer alpha.
     """
 
     alpha: float
@@ -73,9 +82,7 @@ class SpectralProblem:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if not self.force_generic:
-            nearest = round(self.alpha)
-            if nearest >= 1 and abs(self.alpha - nearest) <= INTEGER_ALPHA_TOL:
-                object.__setattr__(self, "integer_n", int(nearest) - 1)
+            object.__setattr__(self, "integer_n", integer_n(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -122,20 +129,6 @@ class Rect:
         mid = 0.5 * (self.im_min + self.im_max)
         return (Rect(self.re_min, self.re_max, self.im_min, mid),
                 Rect(self.re_min, self.re_max, mid, self.im_max))
-
-
-class Mode:
-    """Eigenfunction evaluator paired with its eigenvalue."""
-
-    def __init__(self, eigenvalue, evaluator):
-        self.eigenvalue = eigenvalue
-        self.evaluator = evaluator
-
-    def __call__(self, x):
-        return self.evaluator(x)
-
-    def sample(self, x_grid):
-        return np.array([self.evaluator(float(x)) for x in np.asarray(x_grid)])
 
 
 def char_fn(problem, lam):
@@ -235,7 +228,7 @@ def asymptotic_eigenvalue(problem, k, branch):
     """Large-k seed for the k-th conjugate-pair eigenvalue (non-integer
     alpha), with the principal logarithm branch throughout."""
     a = problem.alpha
-    if abs(a - round(a)) <= INTEGER_ALPHA_TOL and round(a) >= 1:
+    if integer_n(a) is not None:
         raise ValueError("asymptotic seeds undefined at integer alpha "
                          "(Gamma(1-alpha) pole)")
     if k < 1:
@@ -255,26 +248,59 @@ def asymptotic_eigenvalue(problem, k, branch):
             - 0.5 * cmath.log(ratio * power))
 
 
-def _laguerre_mu(n):
-    """Negative real eigenvalues for alpha = n + 1: roots of L_n^(1)(-2*mu),
-    ascending. Golub-Welsch nodes polished by Newton on the recurrence."""
-    if n == 0:
-        return np.array([])
-    x = scipy.special.roots_genlaguerre(n, 1.0)[0]
-    # d/dx L_n^(1)(x) = -L_{n-1}^(2)(x)
-    for _ in range(3):
-        x = x + laguerre(n, 1, x) / laguerre(n - 1, 2, x)
-    return np.sort(-x / 2.0)
-
-
 @functools.lru_cache(maxsize=None)
 def laguerre_poles(n):
     """The spectrum at alpha = n + 1 as a tuple of floats, ascending: the
     poles mu_k of the integer-alpha Laplace solution (roots of
-    L_n^(1)(-2 mu)). Cached per n."""
+    L_n^(1)(-2 mu)). Golub-Welsch nodes polished by Newton on the
+    recurrence; cached per n."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return tuple(float(mu) for mu in _laguerre_mu(n))
+    if n == 0:
+        return ()
+    x = scipy.special.roots_genlaguerre(n, 1.0)[0]
+    # d/dx L_n^(1)(x) = -L_{n-1}^(2)(x)
+    for _ in range(3):
+        x = x + laguerre(n, 1, x) / laguerre(n - 1, 2, x)
+    return tuple(float(mu) for mu in np.sort(-x / 2.0))
+
+
+class StandingMode(NamedTuple):
+    """mu_k and vectorised evaluators of f_k, f_k' and f_k / x."""
+
+    mu: float
+    f: Callable
+    df: Callable
+    f_over_x: Callable
+
+
+@functools.lru_cache(maxsize=None)
+def standing_mode(n, k):
+    """The k-th standing mode at alpha = n + 1, k = 1..n in ascending mu:
+    f_k(x) = x e^(mu_k x) L_n^(1)(-2 mu_k x), so that e^(mu_k t) f_k(x)
+    solves the damped wave equation. Cached per (n, k)."""
+    if n < 1:
+        raise ValueError("standing modes require n >= 1 (alpha >= 2)")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}")
+    mu = laguerre_poles(n)[k - 1]
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return x * np.exp(mu * x) * np.real(laguerre(n, 1, -2.0 * mu * x))
+
+    def df(x):
+        # d/dz L_n^(1)(z) = -L_{n-1}^(2)(z)
+        x = np.asarray(x, dtype=float)
+        l1 = np.real(laguerre(n, 1, -2.0 * mu * x))
+        l2 = np.real(laguerre(n - 1, 2, -2.0 * mu * x))
+        return np.exp(mu * x) * ((1.0 + mu * x) * l1 + 2.0 * mu * x * l2)
+
+    def f_over_x(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(mu * x) * np.real(laguerre(n, 1, -2.0 * mu * x))
+
+    return StandingMode(mu, f, df, f_over_x)
 
 
 def _real_eigenvalues_generic(problem):
@@ -377,8 +403,7 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True,
         raise ValueError("k_max must be >= 1")
     evs = []
     if problem.integer_n is not None:
-        n = problem.integer_n
-        for i, mu in enumerate(_laguerre_mu(n)):
+        for i, mu in enumerate(laguerre_poles(problem.integer_n)):
             res = abs(char_fn(problem, mu))
             evs.append(Eigenvalue(complex(mu), i + 1, "real", res,
                                   seed_source="laguerre"))
@@ -411,8 +436,7 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True,
     # seeds may collide on the same zero for small k; keep going until the
     # requested number of distinct pairs is in hand. At (near-)integer alpha
     # under force_generic there are no non-real eigenvalues and no seeds.
-    near_integer = (abs(problem.alpha - round(problem.alpha))
-                    <= INTEGER_ALPHA_TOL and round(problem.alpha) >= 1)
+    near_integer = integer_n(problem.alpha) is not None
     k = 0
     while not near_integer and len(kept) < n_pairs and k < n_pairs + 10:
         k += 1
@@ -455,27 +479,22 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True,
 
 
 def eigenfunction(problem, ev):
-    """Mode for the closed-form eigenfunction x e^(lambda x) M(1-alpha, 2,
-    -2 lambda x); Laguerre form on the integer fast path."""
+    """The closed-form eigenfunction x e^(lambda x) M(1-alpha, 2,
+    -2 lambda x) of an eigenvalue from find_eigenvalues, as a callable; on
+    the integer fast path the standing mode of index ev.index."""
     if ev.residual >= _RESIDUAL_TOL:
         raise ValueError(f"eigenvalue residual too large: {ev.residual}")
-    lam = ev.value
     if problem.integer_n is not None:
-        n = problem.integer_n
-        mu = lam.real
+        return standing_mode(problem.integer_n, ev.index).f
+    lam = ev.value
+    a = problem.alpha
 
-        def evaluator(x):
-            return x * math.exp(mu * x) * laguerre(n, 1, -2.0 * mu * x)
-    else:
-        a = problem.alpha
+    def evaluator(x):
+        if x == 0:
+            return 0.0
+        return x * cmath.exp(lam * x) * kummer_m(1.0 - a, 2.0, -2.0 * lam * x)
 
-        def evaluator(x):
-            if x == 0:
-                return 0.0
-            return x * cmath.exp(lam * x) * kummer_m(1.0 - a, 2.0,
-                                                     -2.0 * lam * x)
-
-    return Mode(ev, evaluator)
+    return evaluator
 
 
 def spectral_abscissa(evs):

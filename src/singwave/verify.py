@@ -18,11 +18,10 @@ import numpy as np
 import scipy.integrate
 from scipy.interpolate import CubicSpline, PPoly
 
-from .data import InitialData, sine_data
+from .data import sine_data
 from .evolution import projection_condition
 from .laplace import LaplaceRHS
-from .specfun import laguerre
-from .spectrum import laguerre_poles
+from .spectrum import laguerre_poles, standing_mode
 
 
 @dataclass(frozen=True)
@@ -175,14 +174,10 @@ def lemma_condition_identity(data, n):
     """
     energy_side = projection_condition(data, n)
     rhs = LaplaceRHS(data, n)
-    poles = laguerre_poles(n)
     worst = 0.0
-    for mu, lhs in zip(poles, energy_side):
-        def integrand(x, mu=mu):
-            f_k = x * math.exp(mu * x) * float(
-                np.real(laguerre(n, 1, -2.0 * mu * x)))
-            return float(np.real(rhs(x, mu))) * f_k
-        l2_side = _quad(integrand)
+    for k, lhs in enumerate(energy_side, start=1):
+        mu, f, _, _ = standing_mode(n, k)
+        l2_side = _quad(lambda x: float(np.real(rhs(x, mu))) * float(f(x)))
         worst = max(worst, abs(lhs - (-mu) * l2_side))
     return worst
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from singwave.cli import main
+from singwave.spectrum import SpectralProblem
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +176,20 @@ class TestSimulate:
                                "--T", "0.1", "--dt", "0.01", "--N", "50")
         assert code == 2
 
+    def test_infinite_initial_energy_is_computation_error(self, capsys,
+                                                          tmp_path):
+        data = tmp_path / "huge.csv"
+        x = np.linspace(0.1, 0.9, 9)
+        rows = np.column_stack([x, 1e153 * np.sin(np.pi * x),
+                                np.zeros_like(x)])
+        np.savetxt(data, rows, delimiter=",")
+        with np.errstate(over="ignore"):
+            code, _, err = run_cli(capsys, "simulate", "--alpha", "1",
+                                   "--preset", f"file:{data}", "--T", "0.1",
+                                   "--dt", "1e-3", "--N", "200")
+        assert code == 1
+        assert "computation error: initial energy is infinite" in err
+
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--alpha", "1",
                                "--preset", "nope", "--T", "0.1",
@@ -215,6 +230,36 @@ class TestExtinction:
         rep = doc["report"]
         assert len(rep["refinement_trend"]) == 3
         assert rep["extinct"] is True
+
+
+# just above INTEGER_ALPHA_TOL from 2, and just inside it
+_OFF_INTEGER = repr(2 + 1e-13)
+_ON_INTEGER = repr(2 + 1e-15)
+_INTEGER_ONLY = [
+    ("simulate", "--preset", "sine:1", "--project", "--T", "0.1",
+     "--dt", "0.01", "--N", "50"),
+    ("simulate", "--preset", "mode:1", "--T", "0.1", "--dt", "0.01",
+     "--N", "50"),
+    ("extinction", "--N", "40", "--dt", "0.02"),
+]
+
+
+class TestIntegerAlpha:
+    """The CLI takes the integer path exactly when the spectrum does."""
+
+    @pytest.mark.parametrize("argv", _INTEGER_ONLY)
+    def test_off_integer_rejected(self, capsys, argv):
+        assert SpectralProblem(float(_OFF_INTEGER)).integer_n is None
+        code, _, err = run_cli(capsys, *argv, "--alpha", _OFF_INTEGER)
+        assert code == 2
+        assert "config error" in err
+
+    @pytest.mark.parametrize("argv", _INTEGER_ONLY)
+    def test_on_integer_accepted(self, capsys, argv):
+        assert float(_ON_INTEGER) != 2.0
+        assert SpectralProblem(float(_ON_INTEGER)).integer_n == 1
+        code, _, err = run_cli(capsys, *argv, "--alpha", _ON_INTEGER)
+        assert code == 0, err
 
 
 class TestVerify:

@@ -109,17 +109,9 @@ class TestSimulate:
         assert np.all(np.diff(run.trace.energies)
                       <= 1e-10 * run.trace.energies[0])
 
-    def test_schemes_coincide(self):
-        kw = dict(T=0.3, dt=1e-3, N=100, snapshot_times=[0.3])
-        a = simulate(2.0, sine_data(1), scheme="implicit-midpoint", **kw)
-        b = simulate(2.0, sine_data(1), scheme="crank-nicolson", **kw)
-        assert np.array_equal(a.snapshots[-1].u, b.snapshots[-1].u)
-
     def test_bad_args(self):
         with pytest.raises(ValueError):
             simulate(1.0, sine_data(1), 1.0, -0.1)
-        with pytest.raises(ValueError):
-            simulate(1.0, sine_data(1), 1.0, 0.1, scheme="euler")
 
 
 def _block_trapezoid(alpha, data, dt, N, n_steps):
@@ -240,6 +232,17 @@ class TestStepAudit:
             simulate(-0.5, data, 0.1, 1e-2, N=N)
         assert info.value.step == 1
         assert info.value.ratio == math.inf
+
+    def test_infinite_initial_energy(self):
+        # a finite state whose E(0) overflows: every increase over it reads
+        # (inf - inf)/inf = NaN, so the run must stop before stepping
+        base = zero_data()
+        big = InitialData(lambda x: 1e153 * np.sin(np.pi * np.asarray(x)),
+                          base.u1, base.du0, label="huge")
+        with np.errstate(over="ignore"), \
+                pytest.raises(EvolutionError,
+                              match="initial energy is infinite"):
+            simulate(1.0, big, 0.1, 1e-3, N=200)
 
     def test_indefinite_step_matrix(self):
         # strong anti-damping makes I + cD - c^2 L indefinite

@@ -9,7 +9,8 @@ import pytest
 from singwave.spectrum import (Eigenvalue, Rect, SpectralProblem,
                                alpha_sweep, asymptotic_eigenvalue, char_fn,
                                count_zeros, eigenfunction, find_eigenvalues,
-                               spectral_abscissa)
+                               integer_n, laguerre_poles, spectral_abscissa,
+                               standing_mode)
 
 
 class TestSpectralProblem:
@@ -18,6 +19,9 @@ class TestSpectralProblem:
         assert SpectralProblem(2.0 + 1e-13).integer_n is None
         assert SpectralProblem(1.0).integer_n == 0
         assert SpectralProblem(1.5).integer_n is None
+        assert [integer_n(a) for a in (0.4, 1.0, 2.5, 3.0 - 1e-15, 3.0,
+                                       3.0 + 1e-13)] == [None, 0, None, 2, 2,
+                                                         None]
 
     def test_force_generic(self):
         assert SpectralProblem(2.0, force_generic=True).integer_n is None
@@ -126,20 +130,74 @@ class TestAsymptoticSeeds:
             asymptotic_eigenvalue(SpectralProblem(2.0), 3, "upper")
 
 
+def _mp_mode(n, mu):
+    """The closed form x e^(mu x) L_n^(1)(-2 mu x) in mpmath, with L_n^(1)
+    from its explicit coefficients (mpmath's own laguerre fails to reach
+    relative accuracy at its zeros)."""
+    import mpmath as mp
+    mu = mp.mpf(mu)
+    coeffs = [mp.mpf((-1) ** m * math.comb(n + 1, n - m)) / math.factorial(m)
+              for m in range(n + 1)]
+    return lambda x: (x * mp.exp(mu * x)
+                      * mp.polyval(coeffs[::-1], -2 * mu * x))
+
+
+class TestStandingMode:
+    XS = np.linspace(0.0, 1.0, 41)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_closed_form(self, n):
+        import mpmath as mp
+        for k in range(1, n + 1):
+            mu, f, df, f_over_x = standing_mode(n, k)
+            assert mu == laguerre_poles(n)[k - 1]
+            fx = f(self.XS)
+            scale = np.max(np.abs(fx))
+            assert f(0.0) == 0.0
+            assert abs(f(1.0)) <= 1e-12 * scale
+            assert np.max(np.abs(self.XS * f_over_x(self.XS) - fx)) \
+                <= 1e-15 * scale
+            g = _mp_mode(n, mu)
+            with mp.workdps(30):
+                for x in self.XS:
+                    d1 = float(mp.diff(g, mp.mpf(x)))
+                    assert abs(float(df(x)) - d1) <= 1e-12 * max(1.0, abs(d1))
+                    if x == 0.0:
+                        continue
+                    d2 = float(mp.diff(g, mp.mpf(x), 2))
+                    resid = (d2 - mu * mu * float(f(x))
+                             - 2.0 * (n + 1) * mu * float(f_over_x(x)))
+                    assert abs(resid) <= 1e-10 * scale
+
+    def test_validation(self):
+        for n, k in ((0, 1), (2, 0), (2, 3)):
+            with pytest.raises(ValueError):
+                standing_mode(n, k)
+
+    def test_built_once(self):
+        assert standing_mode(3, 2) is standing_mode(3, 2)
+
+    def test_is_the_integer_eigenfunction(self):
+        p = SpectralProblem(4.0)
+        for ev in find_eigenvalues(p, 1):
+            assert eigenfunction(p, ev) is standing_mode(3, ev.index).f
+            assert ev.value == laguerre_poles(3)[ev.index - 1]
+
+
 class TestEigenfunction:
     def test_dirichlet(self):
         p = SpectralProblem(2.0)
         ev = find_eigenvalues(p, 1)[0]
         mode = eigenfunction(p, ev)
-        assert mode.evaluator(0.0) == 0.0
-        assert abs(mode.evaluator(1.0)) < 1e-8
+        assert mode(0.0) == 0.0
+        assert abs(mode(1.0)) < 1e-8
 
     def test_alpha2_closed_form(self):
         p = SpectralProblem(2.0)
         ev = find_eigenvalues(p, 1)[0]
         mode = eigenfunction(p, ev)
         x = 0.37
-        assert mode.evaluator(x) == pytest.approx(
+        assert mode(x) == pytest.approx(
             x * math.exp(-x) * (2 - 2 * x), rel=1e-12)
 
     def test_ode_residual_complex_pair(self):
@@ -152,7 +210,7 @@ class TestEigenfunction:
         h = 1e-4
         worst = 0.0
         for x in xs:
-            f = [mode.evaluator(x + k * h) for k in (-1, 0, 1)]
+            f = [mode(x + k * h) for k in (-1, 0, 1)]
             d2 = (f[0] - 2 * f[1] + f[2]) / h ** 2
             resid = -d2 + (2 * lam * 1.5 / x) * f[1] + lam * lam * f[1]
             scale = max(abs(f[1]), 1.0)
