@@ -102,18 +102,6 @@ def energy(grid, state):
     return h * float(du @ du) + h * float(state.v @ state.v)
 
 
-def apply_generator(alpha, grid, state):
-    """Action (u, v) -> (v, u_xx - (2 alpha / x) v) with the second
-    difference and Dirichlet closure."""
-    h = grid.h
-    u, v = state.u, state.v
-    lap = np.empty_like(u)
-    lap[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h ** 2
-    lap[0] = (-2.0 * u[0] + u[1]) / h ** 2
-    lap[-1] = (u[-2] - 2.0 * u[-1]) / h ** 2
-    return State(v.copy(), lap - (2.0 * alpha / grid.nodes) * v)
-
-
 def simulate(alpha, initial, T, dt, N=2000, snapshot_times=None,
              n_snapshots=21):
     """Trapezoidal-rule time stepping up to T with per-step energy audit.

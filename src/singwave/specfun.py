@@ -2,8 +2,8 @@
 
 Provides the regular confluent hypergeometric function M(a, b, z), associated
 Laguerre polynomials, the auxiliary polynomial family entering the Green's
-function of the singular Sturm-Liouville problem, the exponential integral E1,
-and the logarithmic second solution of the Laguerre equation.
+function of the singular Sturm-Liouville problem and the exponential
+integral E1.
 
 All functions are pure and reentrant.
 """
@@ -36,6 +36,11 @@ _ASYMPTOTIC_MIN_ABS = 34.0
 # Cancellation budget: accept the double-precision series only if the
 # estimated rounding error stays below this relative level.
 _CANCEL_RTOL = 1e-13
+
+# kummer_m_array's lockstep series: elements per call and terms per block
+# (a block holds chunk x block sums)
+_LOCKSTEP_CHUNK = 1024
+_LOCKSTEP_BLOCK = 16
 
 _E1_SWITCH_ABS = 2.0
 _E1_MAX_ITER = 500
@@ -176,6 +181,17 @@ def _kummer_asymptotic(a, b, z):
     return value, err
 
 
+def _kummer_after_series(a, b, z):
+    """The stage of kummer_m after a double series that failed the
+    cancellation test: the large-argument expansion where it meets the
+    accuracy contract, else mpmath. Shared by kummer_m and kummer_m_array."""
+    if abs(z) >= _ASYMPTOTIC_MIN_ABS:
+        asym, err = _kummer_asymptotic(a, b, z)
+        if err <= _CANCEL_RTOL * max(abs(asym), 1e-300):
+            return asym
+    return _kummer_series_highprec(a, b, z)
+
+
 def kummer_m(a, b, z):
     """Kummer's confluent hypergeometric function M(a, b, z).
 
@@ -197,22 +213,139 @@ def kummer_m(a, b, z):
     cancel = 2.3e-16 * max_mag
     if cancel <= _CANCEL_RTOL * max(abs(value), 1e-300):
         return value
-    if abs(z) >= _ASYMPTOTIC_MIN_ABS:
-        asym, err = _kummer_asymptotic(a, b, z)
-        if err <= _CANCEL_RTOL * max(abs(asym), 1e-300):
-            return asym
-    return _kummer_series_highprec(a, b, z)
+    return _kummer_after_series(a, b, z)
+
+
+def _lockstep_block_real(a, b, k, z, terms, accs):
+    """Terms k, k+1, ... of the series on real z into terms[1:] and the
+    sums into accs[1:], as complex arrays. With a zero imaginary part every
+    product is exact, so numpy's complex products round as CPython's, and
+    numpy's complex abs is |x|, as hypot is. Returns the real and imaginary
+    parts of the sums and the moduli of the terms and of the sums."""
+    for j in range(len(terms) - 1):
+        c = (a + (k + j)) / ((b + (k + j)) * ((k + j) + 1.0))
+        np.multiply(terms[j], c, out=terms[j + 1])
+        np.multiply(terms[j + 1], z, out=terms[j + 1])
+        np.add(accs[j], terms[j + 1], out=accs[j + 1])
+    return accs.real, accs.imag, np.abs(terms[1:]), np.abs(accs)
+
+
+def _lockstep_block_split(a, b, k, z, terms, accs):
+    """Terms k, k+1, ... of the series on complex z into terms[1:] and the
+    sums into accs[1:], as float rows (re, im, re) and (re, im); returns
+    what _lockstep_block_real returns.
+
+    Each product is formed as CPython forms it: the float factor promoted
+    to a complex with zero imaginary part, re = xr zr - xi zi and im = xr zi
+    + xi zr. Rows 0:2 and 1:3 of (re, im, re) pair each part with the
+    other; x - y is x + (-y) exactly, so the signs go into the second
+    factor and each complex product is two products and a sum of rows.
+    Moduli come from np.hypot, the hypot that abs() uses.
+    """
+    m = z.size
+    prod = np.empty((3, m))
+    p_lo, p_hi = prod[:2], prod[1:]
+    tmp = np.empty((2, m))
+    zero2 = np.empty((2, m))
+    zero2[0], zero2[1] = -0.0, 0.0
+    zr2, zi2 = np.stack([z.real, z.real]), np.stack([-z.imag, z.imag])
+    for j in range(len(terms) - 1):
+        c = (a + (k + j)) / ((b + (k + j)) * ((k + j) + 1.0))
+        t, t_new = terms[j], terms[j + 1]
+        # term * c
+        np.multiply(t[:2], c, out=p_lo)
+        np.multiply(t[1:], zero2, out=tmp)
+        np.add(p_lo, tmp, out=p_lo)
+        prod[2] = prod[0]
+        # ... * z
+        t_lo = t_new[:2]
+        np.multiply(p_lo, zr2, out=t_lo)
+        np.multiply(p_hi, zi2, out=tmp)
+        np.add(t_lo, tmp, out=t_lo)
+        t_new[2] = t_new[0]
+        np.add(accs[j], t_lo, out=accs[j + 1])
+    ar, ai = accs[:, 0], accs[:, 1]
+    return (ar, ai, np.hypot(terms[1:, 0], terms[1:, 1]), np.hypot(ar, ai))
+
+
+def _kummer_series_lockstep(a, b, z):
+    """_kummer_series_double over a complex array z in lockstep.
+
+    The terms come from _lockstep_block_real on real z and
+    _lockstep_block_split otherwise, in blocks of _LOCKSTEP_BLOCK, so every
+    partial sum and every modulus has the bits of the scalar series. The
+    stopping rule and the cancellation test of kummer_m are then read off
+    each block at once. Returns the sums and the mask of those that pass
+    the cancellation test. Raises ConvergenceError when an element exhausts
+    the term budget.
+    """
+    n = z.size
+    value = np.empty(n, dtype=complex)
+    ok = np.zeros(n, dtype=bool)
+    idx = np.arange(n)
+    zz = z
+    if z.imag.any():
+        block_terms = _lockstep_block_split
+        term = np.zeros((3, n))  # rows re, im, re
+        term[0] = term[2] = 1.0
+        acc = term[:2].copy()
+    else:
+        block_terms = _lockstep_block_real
+        term, acc = np.ones(n, dtype=complex), np.ones(n, dtype=complex)
+    max_mag = np.ones(n)
+    # small flags of the last _SERIES_RUN - 1 terms
+    recent = np.zeros((_SERIES_RUN - 1, n), dtype=bool)
+    k = 0
+    while idx.size:
+        if k == _SERIES_MAX_TERMS:
+            raise ConvergenceError("Kummer series did not converge",
+                                   z[idx[0]], _SERIES_MAX_TERMS)
+        block = min(_LOCKSTEP_BLOCK, _SERIES_MAX_TERMS - k)
+        terms = np.empty((block + 1,) + term.shape, dtype=term.dtype)
+        accs = np.empty((block + 1,) + acc.shape, dtype=acc.dtype)
+        terms[0], accs[0] = term, acc  # accs[j]: the sum before term j
+        ar, ai, t_mag, mags = block_terms(a, b, k, zz, terms, accs)
+        small = np.concatenate(
+            [recent, t_mag < _SERIES_RTOL * np.maximum(mags[1:], 1e-300)])
+        # a zero term ends a terminating series before it is added
+        zero = t_mag == 0
+        stop = np.logical_and.reduce(
+            [small[i:i + block] for i in range(_SERIES_RUN)]) | zero
+        hit = stop.any(axis=0)
+        if hit.any():
+            cols = np.flatnonzero(hit)
+            first = stop[:, cols].argmax(axis=0)
+            row = first + 1 - zero[first, cols]
+            fin = idx[cols]
+            value.real[fin] = ar[row, cols]
+            value.imag[fin] = ai[row, cols]
+            # running max |sum| up to the stop; fmax skips a NaN as the
+            # scalar comparison does
+            run_max = mags[:, cols]
+            run_max[0] = max_mag[cols]
+            np.fmax.accumulate(run_max, axis=0, out=run_max)
+            ok[fin] = 2.3e-16 * run_max[row, np.arange(cols.size)] <= (
+                _CANCEL_RTOL * np.maximum(mags[row, cols], 1e-300))
+        keep = ~hit
+        idx, zz = idx[keep], zz[keep]
+        term, acc = terms[-1][..., keep], accs[-1][..., keep]
+        max_mag = np.fmax(max_mag[keep], np.fmax.reduce(mags[1:, keep],
+                                                        axis=0))
+        recent = small[block:][:, keep]
+        k += block
+    return value, ok
 
 
 def kummer_m_array(a, b, z):
-    """kummer_m over a numpy array of z, same shape out.
+    """kummer_m over a numpy array of z, same shape out, bit for bit.
 
-    Runs the double-precision series of kummer_m in lockstep over the
-    elements: each element stops under the scalar stopping rule and must pass
-    the scalar cancellation test. Elements with Re z < -1, or that fail
-    either test, go through kummer_m itself. On real z the result equals
-    kummer_m element by element; on complex z it may differ in the last bits,
-    since numpy's complex products and moduli round differently.
+    The double series runs in lockstep over the elements under the scalar
+    stopping rule and cancellation test, with CPython's complex rounding
+    (_kummer_series_lockstep); elements with Re z < -1 run it on -z with
+    b - a and are multiplied by cmath.exp(z) one at a time, since numpy's
+    vector exp need not match libm in the last bit. Elements that fail the
+    cancellation test go to the post-series stage of kummer_m without
+    summing the series again.
     """
     if b <= 0 and b == int(b):
         raise ValueError(f"b={b} is a non-positive integer")
@@ -220,39 +353,24 @@ def kummer_m_array(a, b, z):
     flat = z.ravel()
     out = np.empty_like(flat)
     transform = flat.real < _KUMMER_TRANSFORM_RE
-    rest = [np.flatnonzero(transform)]  # left to kummer_m
-    idx = np.flatnonzero(~transform)
-    if a == 0.0:
-        out[idx] = 1.0
-        idx = idx[:0]
-    zz = flat[idx]
-    term = np.ones_like(zz)
-    acc = term.copy()
-    max_mag = np.ones(zz.shape)
-    run = np.zeros(zz.shape, dtype=int)
-    for k in range(_SERIES_MAX_TERMS):
+    for idx, aa, sign in ((np.flatnonzero(~transform), a, 1.0),
+                          (np.flatnonzero(transform), b - a, -1.0)):
         if idx.size == 0:
-            break
-        term = term * ((a + k) / ((b + k) * (k + 1.0))) * zz
-        acc += term
-        mag = np.abs(acc)
-        np.maximum(max_mag, mag, out=max_mag)
-        small = np.abs(term) < _SERIES_RTOL * np.maximum(mag, 1e-300)
-        run = np.where(small, run + 1, 0)
-        # a zero term ends a terminating series
-        done = (term == 0) | (run >= _SERIES_RUN)
-        if done.any():
-            value, fin = acc[done], idx[done]
-            cancel = 2.3e-16 * max_mag[done]
-            ok = cancel <= _CANCEL_RTOL * np.maximum(np.abs(value), 1e-300)
-            out[fin[ok]] = value[ok]
-            rest.append(fin[~ok])
-            keep = ~done
-            idx, zz, term = idx[keep], zz[keep], term[keep]
-            acc, max_mag, run = acc[keep], max_mag[keep], run[keep]
-    rest.append(idx)  # series budget exhausted
-    for i in np.concatenate(rest):
-        out[i] = kummer_m(a, b, flat[i])
+            continue
+        w = flat[idx] if sign > 0 else -flat[idx]
+        vals = np.empty(idx.size, dtype=complex)
+        ok = np.empty(idx.size, dtype=bool)
+        # overflow gives inf and NaN, as in the scalar series
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, idx.size, _LOCKSTEP_CHUNK):
+                part = slice(s, s + _LOCKSTEP_CHUNK)
+                vals[part], ok[part] = _kummer_series_lockstep(aa, b, w[part])
+        for i in np.flatnonzero(~ok):
+            vals[i] = _kummer_after_series(aa, b, complex(w[i]))
+        if sign < 0:
+            vals = [cmath.exp(complex(zi)) * complex(v)
+                    for zi, v in zip(flat[idx], vals)]
+        out[idx] = vals
     return out.reshape(z.shape)
 
 
@@ -414,14 +532,3 @@ def exp_integral_e1_array(z):
                                flat[idx[0]], _E1_MAX_ITER)
     return out.reshape(z.shape)
 
-
-def second_solution_v(n, xi):
-    """Second solution of the Laguerre equation of order n:
-    v(xi) = P_n(xi) e^xi / xi + L_n^(1)(xi) E1(-xi), for Re(-xi) > 0."""
-    xi = complex(xi)
-    if xi == 0:
-        raise SpecialFunctionError("second_solution_v is singular at xi = 0")
-    if (-xi).real <= 0:
-        raise ValueError(f"second_solution_v requires Re(-xi) > 0, got xi={xi}")
-    pn = p_poly(n)
-    return pn(xi) * cmath.exp(xi) / xi + laguerre(n, 1, xi) * exp_integral_e1(-xi)

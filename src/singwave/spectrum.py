@@ -29,6 +29,9 @@ _NEWTON_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _BOUNDARY_TOL = 1e-9
 _DEDUP_TOL = 1e-8
+# below this many new points per call, kummer_m one by one is faster than
+# kummer_m_array, whose lockstep series has a fixed cost per term block
+_ARRAY_MIN_POINTS = 24
 
 
 class SpectrumError(Exception):
@@ -72,11 +75,15 @@ class SpectralProblem:
 
     integer_n is integer_n(alpha); pass force_generic=True to disable the
     integer fast path, e.g. when probing the discontinuity at integer alpha.
+    char_values holds F(lambda) by the exact lambda for this problem alone,
+    so that each lambda is evaluated once.
     """
 
     alpha: float
     force_generic: bool = False
     integer_n: int | None = field(init=False, default=None)
+    char_values: dict = field(init=False, default_factory=dict,
+                              compare=False, repr=False)
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -132,8 +139,29 @@ class Rect:
 
 
 def char_fn(problem, lam):
-    """F(lambda) = M(1 - alpha, 2, -2*lambda)."""
-    return kummer_m(1.0 - problem.alpha, 2.0, -2.0 * complex(lam))
+    """F(lambda) = M(1 - alpha, 2, -2*lambda), through problem.char_values."""
+    lam = complex(lam)
+    f = problem.char_values.get(lam)
+    if f is None:
+        f = problem.char_values[lam] = kummer_m(1.0 - problem.alpha, 2.0,
+                                                -2.0 * lam)
+    return f
+
+
+def _char_fn_many(problem, lams):
+    """char_fn at each of lams; the lambdas not yet in problem.char_values
+    are evaluated in one kummer_m_array call, which is bit-identical to
+    kummer_m, or one by one when there are fewer than _ARRAY_MIN_POINTS."""
+    cache = problem.char_values
+    new = [lam for lam in dict.fromkeys(lams) if lam not in cache]
+    if len(new) >= _ARRAY_MIN_POINTS:
+        vals = kummer_m_array(1.0 - problem.alpha, 2.0,
+                              np.array([-2.0 * lam for lam in new]))
+        cache.update(zip(new, vals.tolist()))
+    else:
+        for lam in new:
+            char_fn(problem, lam)
+    return [cache[lam] for lam in lams]
 
 
 def char_fn_dlam(problem, lam):
@@ -165,8 +193,8 @@ def _newton(problem, seed):
     raise NewtonError(seed)
 
 
-def _segment_winding(f, z1, z2, f1, f2, diag):
-    """Accumulated phase change of f along [z1, z2], adaptive bisection."""
+def _segment_winding(problem, z1, z2, f1, f2, diag):
+    """Accumulated phase change of F along [z1, z2], adaptive bisection."""
     if abs(f1) < _BOUNDARY_TOL or abs(f2) < _BOUNDARY_TOL:
         raise BoundaryZeroError(f"|F| below boundary tolerance near {z1}")
     dphi = cmath.phase(f2 / f1)
@@ -175,9 +203,9 @@ def _segment_winding(f, z1, z2, f1, f2, diag):
     if abs(z2 - z1) < 1e-12 * diag:
         raise BoundaryZeroError(f"phase jump not resolvable near {z1}")
     zm = 0.5 * (z1 + z2)
-    fm = f(zm)
-    return (_segment_winding(f, z1, zm, f1, fm, diag)
-            + _segment_winding(f, zm, z2, fm, f2, diag))
+    fm = char_fn(problem, zm)
+    return (_segment_winding(problem, z1, zm, f1, fm, diag)
+            + _segment_winding(problem, zm, z2, fm, f2, diag))
 
 
 # initial boundary sample spacing; the phase rate of the characteristic
@@ -186,19 +214,26 @@ def _segment_winding(f, z1, z2, f1, f2, diag):
 _WALK_STEP = 0.2
 
 
-def _winding_number(f, rect):
+def _walk_points(rect):
+    """The initial boundary samples of rect, from its first corner round
+    to it again."""
     corners = rect.corners()
-    diag = rect.diag()
     pts = []
     for i in range(4):
         z1, z2 = corners[i], corners[(i + 1) % 4]
         m = max(1, math.ceil(abs(z2 - z1) / _WALK_STEP))
         pts.extend(z1 + (z2 - z1) * (j / m) for j in range(m))
     pts.append(corners[0])
-    vals = [f(z) for z in pts]
+    return pts
+
+
+def _winding_number(problem, rect):
+    diag = rect.diag()
+    pts = _walk_points(rect)
+    vals = _char_fn_many(problem, pts)
     total = 0.0
     for i in range(len(pts) - 1):
-        total += _segment_winding(f, pts[i], pts[i + 1], vals[i],
+        total += _segment_winding(problem, pts[i], pts[i + 1], vals[i],
                                   vals[i + 1], diag)
     winding = total / (2.0 * math.pi)
     n = round(winding)
@@ -211,11 +246,10 @@ def count_zeros(problem, rect, max_retries=5):
     """Number of zeros of the characteristic function inside rect, with
     multiplicity, by the argument principle. Zeros on the boundary trigger
     perturb-and-retry."""
-    f = lambda z: char_fn(problem, z)
     r = rect
     for attempt in range(max_retries + 1):
         try:
-            return _winding_number(f, r)
+            return _winding_number(problem, r)
         except BoundaryZeroError:
             if attempt == max_retries:
                 raise
@@ -307,7 +341,7 @@ def _real_eigenvalues_generic(problem):
     """Negative real eigenvalues for non-integer alpha by sign-change scan
     of the (real-valued) characteristic function on the negative axis."""
     a = problem.alpha
-    expected = max(0, math.ceil(a - 1.0 - 1e-12))
+    expected = max(0, math.ceil(a - 1.0))
     if expected == 0:
         return []
     # zeros escape to -infinity as alpha approaches an integer from above
@@ -341,19 +375,23 @@ def _audit_rect(lam, spacing):
 def _audit(problem, eigenvalues):
     """Per-zero rectangles must each contain exactly one zero."""
     vals = [ev.value for ev in eigenvalues]
+    rects = []
     for i, lam in enumerate(vals):
         spacing = min((abs(lam - o) for j, o in enumerate(vals) if j != i),
                       default=1.0)
-        rect = _audit_rect(lam, spacing)
+        rects.append(_audit_rect(lam, spacing))
+    # the boundary samples of every rectangle in one array call
+    _char_fn_many(problem, [z for rect in rects for z in _walk_points(rect)])
+    for rect in rects:
         counted = count_zeros(problem, rect)
         inside = sum(1 for o in vals if rect.contains(o))
         if counted != inside:
             raise AuditError(rect, counted, inside)
 
 
-def _locate_in_rect(problem, rect, known, depth=0):
-    """Zeros in rect not present in `known`, by bisection + Newton."""
-    counted = count_zeros(problem, rect)
+def _locate_in_rect(problem, rect, known, counted, depth=0):
+    """Zeros in rect not present in `known`, by bisection + Newton; counted
+    is count_zeros(problem, rect)."""
     k_in = sum(1 for z in known if rect.contains(z, margin=1e-9))
     if counted <= k_in:
         return []
@@ -362,7 +400,8 @@ def _locate_in_rect(problem, rect, known, depth=0):
         return [(lam, res)]
     out = []
     for half in rect.bisect():
-        out.extend(_locate_in_rect(problem, half, known, depth + 1))
+        out.extend(_locate_in_rect(problem, half, known,
+                                   count_zeros(problem, half), depth + 1))
     return out
 
 
@@ -381,7 +420,7 @@ def _recover_missed(problem, kept, n_pairs, max_rounds=3):
             return
         if counted < len(inside):
             raise AuditError(rect, counted, len(inside))
-        new = _locate_in_rect(problem, rect, [t[0] for t in kept])
+        new = _locate_in_rect(problem, rect, [t[0] for t in kept], counted)
         if not new:
             raise AuditError(rect, counted, len(inside))
         for lam, res in new:

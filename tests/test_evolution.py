@@ -1,5 +1,4 @@
-"""Time-evolution tests: generator consistency, energy, the trapezoidal
-stepper, spectral projections, extinction and decay-rate estimation."""
+"""Time-evolution tests: energy, the trapezoidal stepper, spectral projections, extinction and decay-rate estimation."""
 
 import math
 import sys
@@ -13,9 +12,9 @@ from singwave import evolution
 from singwave.data import (InitialData, bump_data, combine, mode_data,
                            sine_data, zero_data)
 from singwave.evolution import (EnergyIncreaseError, EnergyTrace,
-                                EvolutionError, Grid, State, apply_generator,
-                                decay_rate, energy, extinction_time,
-                                project_out, projection_condition, simulate)
+                                EvolutionError, Grid, State, decay_rate,
+                                energy, extinction_time, project_out,
+                                projection_condition, simulate)
 
 
 class TestGrid:
@@ -27,38 +26,6 @@ class TestGrid:
     def test_too_small(self):
         with pytest.raises(ValueError):
             Grid(1)
-
-
-class TestApplyGenerator:
-    def test_zero_velocity_ignores_damping(self):
-        g = Grid(200)
-        u = np.sin(np.pi * g.nodes)
-        out = apply_generator(7.3, g, State(u, np.zeros_like(u)))
-        assert np.allclose(out.u, 0.0)
-        assert np.max(np.abs(out.v + np.pi ** 2 * u)) < 1e-2
-
-    def test_zero_displacement(self):
-        g = Grid(50)
-        phi = g.nodes * (1 - g.nodes)
-        out = apply_generator(2.0, g, State(np.zeros_like(phi), phi))
-        assert np.allclose(out.u, phi)
-        assert np.allclose(out.v, -(2 * 2.0 / g.nodes) * phi)
-
-    def test_second_order_consistency(self):
-        # Richardson: residual against the analytic action decays as O(h^2)
-        alpha = 1.5
-
-        def residual(N):
-            g = Grid(N)
-            x = g.nodes
-            u = np.sin(np.pi * x)
-            v = x * (1 - x)
-            out = apply_generator(alpha, g, State(u, v))
-            exact = -np.pi ** 2 * np.sin(np.pi * x) - (2 * alpha / x) * v
-            return np.max(np.abs(out.v - exact))
-
-        r1, r2 = residual(200), residual(400)
-        assert r1 / r2 > 3.5  # ~4 for O(h^2)
 
 
 class TestEnergy:

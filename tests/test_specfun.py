@@ -7,14 +7,16 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singwave import specfun
 from singwave.specfun import (ConvergenceError, PolynomialCoeffs,
                               exp_integral_e1, exp_integral_e1_array,
                               kummer_m, kummer_m_array,
-                              kummer_m_dz, laguerre, laguerre_coeffs, p_poly,
-                              second_solution_v)
+                              kummer_m_dz, laguerre, laguerre_coeffs, p_poly)
 
 
 def mp_kummer(a, b, z):
@@ -135,6 +137,11 @@ def _scan_grid(alpha):
     return np.linspace(1e-6, z_hi, 4000)
 
 
+def _bits(values):
+    """The bit patterns of a complex array, signed zeros included."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.int64).tolist()
+
+
 class TestKummerMArray:
     @pytest.mark.parametrize("alpha", [0.7, 1.44, 1.97, 2.6, 3 + 1e-6,
                                        2 + 1e-11])
@@ -142,7 +149,7 @@ class TestKummerMArray:
         zs = _scan_grid(alpha)
         vals = kummer_m_array(1.0 - alpha, 2.0, zs)
         ref = np.array([kummer_m(1.0 - alpha, 2.0, z) for z in zs])
-        assert vals.view(np.int64).tolist() == ref.view(np.int64).tolist()
+        assert _bits(vals) == _bits(ref)
 
     def test_mixed_complex_array(self):
         # Re z < -1 (transformation), |z| >= 34 (asymptotic band), points
@@ -155,9 +162,62 @@ class TestKummerMArray:
         for a in (-0.5, 1.3, -3.0):
             vals = kummer_m_array(a, 2.0, z)
             assert vals.shape == z.shape
-            for v, zi in zip(vals.ravel(), z.ravel()):
-                ref = kummer_m(a, 2.0, zi)
-                assert abs(v - ref) <= 1e-12 * max(abs(ref), 1e-300)
+            ref = np.array([kummer_m(a, 2.0, zi) for zi in z.ravel()])
+            assert _bits(vals.ravel()) == _bits(ref)
+
+    def test_bit_identical_in_every_regime(self):
+        # derandomised complex z from four boxes, one per regime of
+        # kummer_m; each element's regime is read off the scalar call
+        boxes = {"series": ((-1.0, 3.0), (-3.0, 3.0)),
+                 "transform": ((-40.0, -1.01), (-40.0, 40.0)),
+                 "asymptotic": ((0.0, 20.0), (40.0, 80.0)),
+                 "mpmath": ((0.0, 8.0), (12.0, 28.0))}
+
+        @st.composite
+        def boxed_z(draw):
+            (x0, x1), (y0, y1) = boxes[draw(st.sampled_from(sorted(boxes)))]
+            y = draw(st.floats(y0, y1)) * draw(st.sampled_from((1.0, -1.0)))
+            return complex(draw(st.floats(x0, x1)), y)
+
+        seen = set()
+
+        @settings(derandomize=True, database=None, deadline=None,
+                  max_examples=60)
+        @given(a=real_a, b=real_b, zs=st.lists(boxed_z(), min_size=1,
+                                               max_size=6))
+        def check(a, b, zs):
+            z = np.array(zs)
+            series = mock.patch.object(specfun, "_kummer_series_double",
+                                       wraps=specfun._kummer_series_double)
+            with series as spy:
+                vals = kummer_m_array(a, b, z)
+            # failed elements go to the post-series stage directly
+            assert spy.call_count == 0
+            ref = []
+            for zi in zs:
+                asym = mock.patch.object(specfun, "_kummer_asymptotic",
+                                         wraps=specfun._kummer_asymptotic)
+                high = mock.patch.object(specfun, "_kummer_series_highprec",
+                                         wraps=specfun._kummer_series_highprec)
+                with asym as asym_spy, high as high_spy:
+                    ref.append(kummer_m(a, b, zi))
+                if high_spy.call_count:
+                    seen.add("mpmath")
+                elif asym_spy.call_count:
+                    seen.add("asymptotic")
+                else:
+                    seen.add("transform" if zi.real < -1.0 else "series")
+            assert _bits(vals) == _bits(np.array(ref))
+
+        check()
+        assert seen == set(boxes)
+
+    def test_term_budget_like_scalar(self):
+        z = np.array([3.0 + 1e5j])
+        with pytest.raises(ConvergenceError):
+            kummer_m(-1e-7, 2.0, z[0])
+        with pytest.raises(ConvergenceError):
+            kummer_m_array(-1e-7, 2.0, z)
 
     def test_a_zero_and_bad_b(self):
         z = np.array([0.5, 3.0 + 2.0j, -5.0])
@@ -279,21 +339,24 @@ class TestExpIntegralArray:
             exp_integral_e1_array(np.array([1.0, complex(np.nan, 1.0)]))
 
 
+def _second_solution(n, xi):
+    """v(xi) = P_n(xi) e^xi / xi + L_n^(1)(xi) E1(-xi) for Re(-xi) > 0:
+    the second solution of the Laguerre equation of order n, which holds
+    only with p_poly's polynomial."""
+    return (p_poly(n)(xi) * cmath.exp(xi) / xi
+            + laguerre(n, 1, xi) * exp_integral_e1(-xi))
+
+
 class TestSecondSolution:
     def test_ode_residual(self):
         # xi v'' + (2 - xi) v' + n v = 0
         n, xi = 2, -1.0 - 1.0j
         h = 1e-4
-        v = [second_solution_v(n, xi + k * h) for k in (-2, -1, 0, 1, 2)]
+        v = [_second_solution(n, xi + k * h) for k in (-2, -1, 0, 1, 2)]
         d1 = (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h)
         d2 = (-v[4] + 16 * v[3] - 30 * v[2] + 16 * v[1] - v[0]) / (12 * h * h)
         resid = xi * d2 + (2 - xi) * d1 + n * v[2]
         assert abs(resid) < 1e-6
-
-    def test_n0_composition(self):
-        xi = -0.7 - 0.3j
-        expected = cmath.exp(xi) / xi + exp_integral_e1(-xi)
-        assert abs(second_solution_v(0, xi) - expected) < 1e-14
 
     def test_wronskian_shape(self):
         # W[L, v](xi) solves W' = ((xi - 2)/xi) W, so xi^2 e^(-xi) W is
@@ -302,18 +365,14 @@ class TestSecondSolution:
         h = 1e-5
 
         def wronskian(xi):
-            dv = (second_solution_v(n, xi + h)
-                  - second_solution_v(n, xi - h)) / (2 * h)
+            dv = (_second_solution(n, xi + h)
+                  - _second_solution(n, xi - h)) / (2 * h)
             dl = (laguerre(n, 1, xi + h) - laguerre(n, 1, xi - h)) / (2 * h)
-            return laguerre(n, 1, xi) * dv - second_solution_v(n, xi) * dl
+            return laguerre(n, 1, xi) * dv - _second_solution(n, xi) * dl
 
         c1 = wronskian(-1.0) * 1.0 * cmath.exp(1.0)
         c2 = wronskian(-2.5) * 6.25 * cmath.exp(2.5)
         assert abs(c1 - c2) < 1e-6 * max(abs(c1), 1.0)
-
-    def test_singularity(self):
-        with pytest.raises(Exception):
-            second_solution_v(1, 0.0)
 
 
 class TestPolynomialCoeffs:

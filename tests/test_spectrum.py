@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from singwave import spectrum
 from singwave.spectrum import (Eigenvalue, Rect, SpectralProblem,
-                               alpha_sweep, asymptotic_eigenvalue, char_fn,
-                               count_zeros, eigenfunction, find_eigenvalues,
-                               integer_n, laguerre_poles, spectral_abscissa,
+                               _real_eigenvalues_generic, alpha_sweep,
+                               asymptotic_eigenvalue, char_fn, count_zeros,
+                               eigenfunction, find_eigenvalues, integer_n,
+                               laguerre_poles, spectral_abscissa,
                                standing_mode)
 
 
@@ -105,6 +107,66 @@ class TestFindEigenvalues:
         gen_reals = sorted(e.value.real for e in generic
                            if e.branch == "real")
         assert np.allclose(fast_reals, gen_reals, atol=1e-10)
+
+
+    @pytest.mark.parametrize("m, diving", [(2, -22.10), (3, -25.31),
+                                           (4, -28.32)])
+    def test_just_above_integer(self, m, diving):
+        # ceil(alpha - 1) = m real roots: the m - 1 near the Laguerre poles
+        # of alpha = m plus one diving towards -infinity
+        evs = find_eigenvalues(SpectralProblem(m + 1e-13), 5)
+        reals = sorted(e.value.real for e in evs if e.branch == "real")
+        assert len(reals) == m
+        assert reals[0] == pytest.approx(diving, abs=0.01)
+        assert np.allclose(reals[1:], laguerre_poles(m - 1), atol=1e-9)
+
+
+class TestRealAxisScan:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_near_integer_count(self, m):
+        # alpha = m +/- 10^-u, u in [10, 13] in steps of 0.25
+        for sign in (1.0, -1.0):
+            for i in range(13):
+                alpha = m + sign * 10.0 ** -(10.0 + 0.25 * i)
+                mus = _real_eigenvalues_generic(SpectralProblem(alpha))
+                assert len(mus) == math.ceil(alpha - 1.0)
+
+
+class TestCharValues:
+    def test_each_lambda_evaluated_once(self, monkeypatch):
+        # below alpha = 1 there is no real-axis scan, so every evaluation
+        # of F in the solve goes through the problem's cache
+        p = SpectralProblem(0.7)
+        a = 1.0 - p.alpha
+        seen = []
+
+        def scalar(aa, b, z):
+            if (aa, b) == (a, 2.0):
+                seen.append(complex(z))
+            return kummer_m(aa, b, z)
+
+        def array(aa, b, z):
+            if (aa, b) == (a, 2.0):
+                seen.extend(np.ravel(z).tolist())
+            return kummer_m_array(aa, b, z)
+
+        kummer_m, kummer_m_array = spectrum.kummer_m, spectrum.kummer_m_array
+        monkeypatch.setattr(spectrum, "kummer_m", scalar)
+        monkeypatch.setattr(spectrum, "kummer_m_array", array)
+        evs = find_eigenvalues(p, 4)
+        assert len(evs) == 8
+        assert len(seen) == len(set(seen)) == len(p.char_values)
+        assert set(seen) == {-2.0 * lam for lam in p.char_values}
+
+    def test_cache_per_problem(self):
+        p = SpectralProblem(1.5)
+        find_eigenvalues(p, 2)
+        assert p.char_values
+        q = SpectralProblem(1.6)
+        assert q.char_values == {}
+        assert SpectralProblem(1.5) == p
+        assert hash(SpectralProblem(1.5)) == hash(p)
+        assert "char_values" not in repr(p)
 
 
 class TestAsymptoticSeeds:
