@@ -106,7 +106,9 @@ def _kummer_series_double(a, b, z):
     max_mag = 1.0
     small_run = 0
     for k in range(_SERIES_MAX_TERMS):
-        term = term * ((a + k) / ((b + k) * (k + 1.0))) * z
+        # the factor as c + 0j, as kummer_m_array forms it; Python 3.14
+        # multiplies complex by float part by part, without the 0j
+        term = term * ((a + k) / ((b + k) * (k + 1.0)) + 0j) * z
         if term == 0:  # terminating series (a a non-positive integer)
             return acc, max_mag, k + 1
         acc += term
@@ -218,10 +220,13 @@ def kummer_m(a, b, z):
 
 def _lockstep_block_real(a, b, k, z, terms, accs):
     """Terms k, k+1, ... of the series on real z into terms[1:] and the
-    sums into accs[1:], as complex arrays. With a zero imaginary part every
-    product is exact, so numpy's complex products round as CPython's, and
-    numpy's complex abs is |x|, as hypot is. Returns the real and imaginary
-    parts of the sums and the moduli of the terms and of the sums."""
+    sums into accs[1:], as complex arrays. With zero imaginary parts the
+    real part of each numpy product is the scalar series' one rounding; the
+    imaginary parts of the terms differ at most in the sign of a zero, so
+    those of the sums stay +0; and numpy's complex abs is |x|, as hypot is.
+    Costs half of _lockstep_block_split on the real-axis scan. Returns the
+    real and imaginary parts of the sums and the moduli of the terms and
+    of the sums."""
     for j in range(len(terms) - 1):
         c = (a + (k + j)) / ((b + (k + j)) * ((k + j) + 1.0))
         np.multiply(terms[j], c, out=terms[j + 1])
@@ -235,8 +240,8 @@ def _lockstep_block_split(a, b, k, z, terms, accs):
     sums into accs[1:], as float rows (re, im, re) and (re, im); returns
     what _lockstep_block_real returns.
 
-    Each product is formed as CPython forms it: the float factor promoted
-    to a complex with zero imaginary part, re = xr zr - xi zi and im = xr zi
+    Each product is formed as the scalar series forms it: the float factor
+    as a complex with zero imaginary part, re = xr zr - xi zi and im = xr zi
     + xi zr. Rows 0:2 and 1:3 of (re, im, re) pair each part with the
     other; x - y is x + (-y) exactly, so the signs go into the second
     factor and each complex product is two products and a sum of rows.

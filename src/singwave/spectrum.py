@@ -20,7 +20,8 @@ import numpy as np
 import scipy.optimize
 import scipy.special
 
-from .specfun import kummer_m, kummer_m_array, kummer_m_dz, laguerre
+from .specfun import (ConvergenceError, kummer_m, kummer_m_array,
+                      kummer_m_dz, laguerre)
 
 INTEGER_ALPHA_TOL = 1e-14
 
@@ -380,8 +381,14 @@ def _audit(problem, eigenvalues):
         spacing = min((abs(lam - o) for j, o in enumerate(vals) if j != i),
                       default=1.0)
         rects.append(_audit_rect(lam, spacing))
-    # the boundary samples of every rectangle in one array call
-    _char_fn_many(problem, [z for rect in rects for z in _walk_points(rect)])
+    # the boundary samples of every rectangle in one array call; on a
+    # failure the rectangles are walked in turn, so that an earlier
+    # rectangle's AuditError still comes first
+    try:
+        _char_fn_many(problem,
+                      [z for rect in rects for z in _walk_points(rect)])
+    except ConvergenceError:
+        pass
     for rect in rects:
         counted = count_zeros(problem, rect)
         inside = sum(1 for o in vals if rect.contains(o))

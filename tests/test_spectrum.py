@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from singwave import spectrum
+from singwave.specfun import ConvergenceError
 from singwave.spectrum import (Eigenvalue, Rect, SpectralProblem,
                                _real_eigenvalues_generic, alpha_sweep,
                                asymptotic_eigenvalue, char_fn, count_zeros,
@@ -167,6 +168,29 @@ class TestCharValues:
         assert SpectralProblem(1.5) == p
         assert hash(SpectralProblem(1.5)) == hash(p)
         assert "char_values" not in repr(p)
+
+    def test_audit_error_before_later_convergence_error(self, monkeypatch):
+        # the first audit rectangle holds no zero of F, and a boundary
+        # sample of the second raises: the first one's AuditError is raised
+        p = SpectralProblem(0.7)
+        far = 40.0 + 40.0j
+
+        def raising(f):
+            def g(aa, b, z):
+                if np.any(np.abs(np.ravel(z) + 2.0 * far) < 4.0):
+                    raise ConvergenceError("forced", -2.0 * far, None)
+                return f(aa, b, z)
+            return g
+
+        for name in ("kummer_m", "kummer_m_array"):
+            monkeypatch.setattr(spectrum, name,
+                                raising(getattr(spectrum, name)))
+        evs = [Eigenvalue(-1.0 + 0.5j, 1, "upper", 0.0),
+               Eigenvalue(far, 2, "upper", 0.0)]
+        with pytest.raises(spectrum.AuditError):
+            spectrum._audit(p, evs)
+        with pytest.raises(ConvergenceError):
+            spectrum._audit(p, evs[1:])
 
 
 class TestAsymptoticSeeds:
