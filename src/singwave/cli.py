@@ -225,6 +225,7 @@ def cmd_sweep(args):
             parts = list(pool.map(_sweep_chunk,
                                   [(c, kmax) for c in chunks]))
         points = []
+        dropped = [d for part in parts for d in part.dropped]
         offset = 0
         for part in parts:  # chunk order, not completion order
             local_max = -1
@@ -236,11 +237,13 @@ def cmd_sweep(args):
             offset += local_max + 1
     else:
         points = alpha_sweep(grid, kmax)
+        dropped = points.dropped
     rows = [{"alpha": p.alpha, "trajectory_id": p.trajectory_id,
              "re": p.value.real, "im": p.value.imag, "branch": p.branch,
              "n_real": p.n_real} for p in points]
     warnings = [f"ambiguous pairing at alpha={p.alpha}" for p in points
                 if p.ambiguous]
+    warnings += [f"dropped alpha={alpha}: {cause}" for alpha, cause in dropped]
     md = _metadata(cfg, warnings=warnings, n_points=len(grid))
     _emit(rows, ["alpha", "trajectory_id", "re", "im", "branch", "n_real"],
           md, args.format, args.out)

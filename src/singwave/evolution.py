@@ -283,13 +283,15 @@ def extinction_time(run, threshold_ratio):
 
 def decay_rate(trace, window):
     """Least-squares slope of (1/2) log E(t) over the window (the factor
-    1/2 converts the quadratic energy to a state-norm rate)."""
+    1/2 converts the quadratic energy to a state-norm rate). Raises
+    EvolutionError when the window holds fewer than two samples or a
+    non-positive energy."""
     t0, t1 = window
     mask = (trace.times >= t0) & (trace.times <= t1)
     if mask.sum() < 2:
-        raise ValueError("window too short for a fit")
+        raise EvolutionError("window too short for a fit")
     e = trace.energies[mask]
     if np.any(e <= 0):
-        raise ValueError("non-positive energies in the fit window")
+        raise EvolutionError("non-positive energies in the fit window")
     slope = np.polyfit(trace.times[mask], 0.5 * np.log(e), 1)[0]
     return float(slope)

@@ -34,8 +34,12 @@ _KUMMER_TRANSFORM_RE = -1.0
 _ASYMPTOTIC_MIN_ABS = 34.0
 
 # Cancellation budget: accept the double-precision series only if the
-# estimated rounding error stays below this relative level.
+# estimated rounding error stays below this relative level. The value grade,
+# _CANCEL_RTOL, is what Newton and the residual checks need; the phase grade,
+# _PHASE_RTOL, bounds the phase error by about 1e-8 rad, which is all an
+# argument-principle walk reads.
 _CANCEL_RTOL = 1e-13
+_PHASE_RTOL = 1e-8
 
 # kummer_m_array's lockstep series: elements per call and terms per block
 # (a block holds chunk x block sums)
@@ -183,39 +187,43 @@ def _kummer_asymptotic(a, b, z):
     return value, err
 
 
-def _kummer_after_series(a, b, z):
+def _kummer_after_series(a, b, z, rtol):
     """The stage of kummer_m after a double series that failed the
-    cancellation test: the large-argument expansion where it meets the
-    accuracy contract, else mpmath. Shared by kummer_m and kummer_m_array."""
+    cancellation test: the large-argument expansion where its error
+    estimate is within rtol, else mpmath. Shared by kummer_m and
+    kummer_m_array."""
     if abs(z) >= _ASYMPTOTIC_MIN_ABS:
         asym, err = _kummer_asymptotic(a, b, z)
-        if err <= _CANCEL_RTOL * max(abs(asym), 1e-300):
+        if err <= rtol * max(abs(asym), 1e-300):
             return asym
     return _kummer_series_highprec(a, b, z)
 
 
-def kummer_m(a, b, z):
+def kummer_m(a, b, z, *, rtol=_CANCEL_RTOL):
     """Kummer's confluent hypergeometric function M(a, b, z).
 
     a and b real, z complex; b must not be a non-positive integer. Relative
-    accuracy ~1e-12 for |z| <= 200. The power series (with the Kummer
-    transformation for Re z < -1) handles the well-conditioned regime; the
-    large-argument expansion and a fallback through mpmath.hyp1f1 cover the
-    cancellation-dominated corner at large |Im z| and near zeros of M.
-    kummer_m_array evaluates the same function over a numpy array.
+    accuracy ~1e-12 for |z| <= 200 at the default rtol. The power series
+    (with the Kummer transformation for Re z < -1) handles the
+    well-conditioned regime; the large-argument expansion and a fallback
+    through mpmath.hyp1f1 cover the cancellation-dominated corner at large
+    |Im z| and near zeros of M. A double-precision result is accepted when
+    its estimated rounding error is at most rtol |M|: _CANCEL_RTOL for
+    values, _PHASE_RTOL where only the phase is read. kummer_m_array
+    evaluates the same function over a numpy array.
     """
     if b <= 0 and b == int(b):
         raise ValueError(f"b={b} is a non-positive integer")
     z = complex(z)
     if z.real < _KUMMER_TRANSFORM_RE:
-        return cmath.exp(z) * kummer_m(b - a, b, -z)
+        return cmath.exp(z) * kummer_m(b - a, b, -z, rtol=rtol)
     if a == 0.0:
         return 1.0 + 0.0j
     value, max_mag, _terms = _kummer_series_double(a, b, z)
     cancel = 2.3e-16 * max_mag
-    if cancel <= _CANCEL_RTOL * max(abs(value), 1e-300):
+    if cancel <= rtol * max(abs(value), 1e-300):
         return value
-    return _kummer_after_series(a, b, z)
+    return _kummer_after_series(a, b, z, rtol)
 
 
 def _lockstep_block_real(a, b, k, z, terms, accs):
@@ -273,16 +281,16 @@ def _lockstep_block_split(a, b, k, z, terms, accs):
     return (ar, ai, np.hypot(terms[1:, 0], terms[1:, 1]), np.hypot(ar, ai))
 
 
-def _kummer_series_lockstep(a, b, z):
+def _kummer_series_lockstep(a, b, z, rtol):
     """_kummer_series_double over a complex array z in lockstep.
 
     The terms come from _lockstep_block_real on real z and
     _lockstep_block_split otherwise, in blocks of _LOCKSTEP_BLOCK, so every
     partial sum and every modulus has the bits of the scalar series. The
-    stopping rule and the cancellation test of kummer_m are then read off
-    each block at once. Returns the sums and the mask of those that pass
-    the cancellation test. Raises ConvergenceError when an element exhausts
-    the term budget.
+    stopping rule and kummer_m's cancellation test at rtol are then read
+    off each block at once. Returns the sums and the mask of those that
+    pass the cancellation test. Raises ConvergenceError when an element
+    exhausts the term budget.
     """
     n = z.size
     value = np.empty(n, dtype=complex)
@@ -330,7 +338,7 @@ def _kummer_series_lockstep(a, b, z):
             run_max[0] = max_mag[cols]
             np.fmax.accumulate(run_max, axis=0, out=run_max)
             ok[fin] = 2.3e-16 * run_max[row, np.arange(cols.size)] <= (
-                _CANCEL_RTOL * np.maximum(mags[row, cols], 1e-300))
+                rtol * np.maximum(mags[row, cols], 1e-300))
         keep = ~hit
         idx, zz = idx[keep], zz[keep]
         term, acc = terms[-1][..., keep], accs[-1][..., keep]
@@ -341,8 +349,9 @@ def _kummer_series_lockstep(a, b, z):
     return value, ok
 
 
-def kummer_m_array(a, b, z):
-    """kummer_m over a numpy array of z, same shape out, bit for bit.
+def kummer_m_array(a, b, z, *, rtol=_CANCEL_RTOL):
+    """kummer_m over a numpy array of z, same shape out, bit for bit at the
+    same rtol.
 
     The double series runs in lockstep over the elements under the scalar
     stopping rule and cancellation test, with CPython's complex rounding
@@ -369,9 +378,10 @@ def kummer_m_array(a, b, z):
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(0, idx.size, _LOCKSTEP_CHUNK):
                 part = slice(s, s + _LOCKSTEP_CHUNK)
-                vals[part], ok[part] = _kummer_series_lockstep(aa, b, w[part])
+                vals[part], ok[part] = _kummer_series_lockstep(aa, b, w[part],
+                                                               rtol)
         for i in np.flatnonzero(~ok):
-            vals[i] = _kummer_after_series(aa, b, complex(w[i]))
+            vals[i] = _kummer_after_series(aa, b, complex(w[i]), rtol)
         if sign < 0:
             vals = [cmath.exp(complex(zi)) * complex(v)
                     for zi, v in zip(flat[idx], vals)]

@@ -20,8 +20,8 @@ import numpy as np
 import scipy.optimize
 import scipy.special
 
-from .specfun import (ConvergenceError, kummer_m, kummer_m_array,
-                      kummer_m_dz, laguerre)
+from .specfun import (_PHASE_RTOL, ConvergenceError, kummer_m,
+                      kummer_m_array, kummer_m_dz, laguerre)
 
 INTEGER_ALPHA_TOL = 1e-14
 
@@ -77,7 +77,9 @@ class SpectralProblem:
     integer_n is integer_n(alpha); pass force_generic=True to disable the
     integer fast path, e.g. when probing the discontinuity at integer alpha.
     char_values holds F(lambda) by the exact lambda for this problem alone,
-    so that each lambda is evaluated once.
+    so that each lambda is evaluated once. phase_values holds, in the same
+    way, the values that only the winding walk reads: evaluated at the
+    phase grade (_PHASE_RTOL), they never reach an eigenvalue or a residual.
     """
 
     alpha: float
@@ -85,6 +87,8 @@ class SpectralProblem:
     integer_n: int | None = field(init=False, default=None)
     char_values: dict = field(init=False, default_factory=dict,
                               compare=False, repr=False)
+    phase_values: dict = field(init=False, default_factory=dict,
+                               compare=False, repr=False)
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -149,20 +153,32 @@ def char_fn(problem, lam):
     return f
 
 
-def _char_fn_many(problem, lams):
-    """char_fn at each of lams; the lambdas not yet in problem.char_values
-    are evaluated in one kummer_m_array call, which is bit-identical to
-    kummer_m, or one by one when there are fewer than _ARRAY_MIN_POINTS."""
-    cache = problem.char_values
-    new = [lam for lam in dict.fromkeys(lams) if lam not in cache]
+def _phase_fn(problem, lam):
+    """F(lambda) for the winding walk: the value from problem.char_values
+    if there is one, else at the phase grade through problem.phase_values."""
+    f = problem.char_values.get(lam)
+    if f is None:
+        f = problem.phase_values.get(lam)
+        if f is None:
+            f = problem.phase_values[lam] = kummer_m(
+                1.0 - problem.alpha, 2.0, -2.0 * lam, rtol=_PHASE_RTOL)
+    return f
+
+
+def _phase_fn_many(problem, lams):
+    """_phase_fn at each of lams; the lambdas in neither cache are
+    evaluated in one kummer_m_array call, which is bit-identical to
+    kummer_m at the same rtol, or one by one when there are fewer than
+    _ARRAY_MIN_POINTS."""
+    values, phase = problem.char_values, problem.phase_values
+    new = [lam for lam in dict.fromkeys(lams)
+           if lam not in values and lam not in phase]
     if len(new) >= _ARRAY_MIN_POINTS:
         vals = kummer_m_array(1.0 - problem.alpha, 2.0,
-                              np.array([-2.0 * lam for lam in new]))
-        cache.update(zip(new, vals.tolist()))
-    else:
-        for lam in new:
-            char_fn(problem, lam)
-    return [cache[lam] for lam in lams]
+                              np.array([-2.0 * lam for lam in new]),
+                              rtol=_PHASE_RTOL)
+        phase.update(zip(new, vals.tolist()))
+    return [_phase_fn(problem, lam) for lam in lams]
 
 
 def char_fn_dlam(problem, lam):
@@ -204,7 +220,7 @@ def _segment_winding(problem, z1, z2, f1, f2, diag):
     if abs(z2 - z1) < 1e-12 * diag:
         raise BoundaryZeroError(f"phase jump not resolvable near {z1}")
     zm = 0.5 * (z1 + z2)
-    fm = char_fn(problem, zm)
+    fm = _phase_fn(problem, zm)
     return (_segment_winding(problem, z1, zm, f1, fm, diag)
             + _segment_winding(problem, zm, z2, fm, f2, diag))
 
@@ -231,7 +247,7 @@ def _walk_points(rect):
 def _winding_number(problem, rect):
     diag = rect.diag()
     pts = _walk_points(rect)
-    vals = _char_fn_many(problem, pts)
+    vals = _phase_fn_many(problem, pts)
     total = 0.0
     for i in range(len(pts) - 1):
         total += _segment_winding(problem, pts[i], pts[i + 1], vals[i],
@@ -385,7 +401,7 @@ def _audit(problem, eigenvalues):
     # failure the rectangles are walked in turn, so that an earlier
     # rectangle's AuditError still comes first
     try:
-        _char_fn_many(problem,
+        _phase_fn_many(problem,
                       [z for rect in rects for z in _walk_points(rect)])
     except ConvergenceError:
         pass
@@ -560,17 +576,29 @@ class SweepPoint:
     ambiguous: bool = False
 
 
+class SweepPoints(list):
+    """alpha_sweep's points in order; dropped lists (alpha, cause) for each
+    alpha whose spectrum raised SpectrumError and so has no points."""
+
+    def __init__(self):
+        super().__init__()
+        self.dropped = []
+
+
 def alpha_sweep(alphas, k_max, audit=False):
-    """Eigenvalue trajectories over an ascending list of alpha values.
+    """Eigenvalue trajectories over an ascending list of alpha values, as
+    SweepPoints.
 
     Continuity-based pairing: nearest neighbor in the complex plane against
     the previous alpha, with continuation Newton seeds. Integer alphas use
-    the Laguerre fast path (trajectory matching still applies).
+    the Laguerre fast path (trajectory matching still applies). An alpha
+    whose spectrum raises SpectrumError is recorded in .dropped, and the
+    next alpha starts new trajectories.
     """
     alphas = list(alphas)
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly ascending")
-    points = []
+    points = SweepPoints()
     prev = {}  # trajectory_id -> (value, branch)
     next_id = 0
     for alpha in alphas:
@@ -579,7 +607,8 @@ def alpha_sweep(alphas, k_max, audit=False):
         try:
             evs = find_eigenvalues(problem, k_max, audit=audit,
                                    extra_seeds=seeds)
-        except SpectrumError:
+        except SpectrumError as exc:
+            points.dropped.append((alpha, f"{type(exc).__name__}: {exc}"))
             prev = {}
             continue
         n_real = sum(1 for ev in evs if ev.branch == "real")

@@ -2,11 +2,13 @@
 exit codes and determinism."""
 
 import json
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from singwave import spectrum
 from singwave.cli import main
 from singwave.spectrum import SpectralProblem
 
@@ -138,6 +140,34 @@ class TestSweep:
                                "--alpha-max", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", [
+        "1", pytest.param("2", marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="pool workers see the patch only when forked"))])
+    def test_dropped_point_warned(self, capsys, monkeypatch, jobs):
+        find = spectrum.find_eigenvalues
+
+        def failing(problem, *args, **kwargs):
+            if abs(problem.alpha - 1.5) < 1e-9:
+                raise spectrum.AuditError("R", 1, 0)
+            return find(problem, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "find_eigenvalues", failing)
+        argv = ("sweep", "--alpha-min", "1.3", "--alpha-max", "1.8",
+                "--step", "0.1", "--kmax", "1", "--jobs", jobs)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["metadata"]["warnings"] == [
+            "dropped alpha=1.5: AuditError: zero-count audit failed on "
+            "rectangle R: winding count 1, refined zeros 0"]
+        alphas = {round(row["alpha"], 10) for row in doc["rows"]}
+        assert alphas == {1.3, 1.4, 1.6, 1.7, 1.8}
+        # the CSV carries the rows alone
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + len(doc["rows"])
+
 
 class TestSimulate:
     def test_snapshot_format(self, capsys, tmp_path):
@@ -221,6 +251,14 @@ class TestExtinction:
                                        "--N", "40", "--dt", "0.02", *extra)
                 assert code == 2
                 assert "config error: alpha must be positive" in err
+
+    def test_short_fit_window_is_computation_error(self, capsys):
+        # dt = 1.8 leaves one sample of the finest run in the decay-rate
+        # window [2, T]
+        code, _, err = run_cli(capsys, "extinction", "--alpha", "2",
+                               "--N", "40", "--dt", "1.8")
+        assert code == 1
+        assert "computation error: window too short for a fit" in err
 
     def test_report(self, capsys):
         code, out, _ = run_cli(capsys, "extinction", "--alpha", "1",

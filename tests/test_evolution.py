@@ -280,11 +280,13 @@ class TestExtinctionAndDecay:
         assert rate == pytest.approx(-1.0, rel=0.01)
 
     def test_decay_rate_errors(self):
+        # numerical failures, not config errors: the CLI exits 1 on them
         tr = EnergyTrace(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(EvolutionError, match="non-positive energies"):
             decay_rate(tr, (0.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(EvolutionError, match="window too short"):
             decay_rate(tr, (5.0, 6.0))
+        assert not issubclass(EvolutionError, ValueError)
 
 
 class TestInitialData:

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singwave import specfun
-from singwave.specfun import (ConvergenceError, PolynomialCoeffs,
-                              exp_integral_e1, exp_integral_e1_array,
+from singwave.specfun import (_CANCEL_RTOL, _PHASE_RTOL, ConvergenceError,
+                              PolynomialCoeffs, exp_integral_e1,
+                              exp_integral_e1_array,
                               kummer_m, kummer_m_array,
                               kummer_m_dz, laguerre, laguerre_coeffs, p_poly)
 
@@ -167,7 +168,8 @@ class TestKummerMArray:
 
     def test_bit_identical_in_every_regime(self):
         # derandomised complex z from four boxes, one per regime of
-        # kummer_m; each element's regime is read off the scalar call
+        # kummer_m, at both accuracy grades; each element's regime is read
+        # off the scalar call
         boxes = {"series": ((-1.0, 3.0), (-3.0, 3.0)),
                  "transform": ((-40.0, -1.01), (-40.0, 40.0)),
                  "asymptotic": ((0.0, 20.0), (40.0, 80.0)),
@@ -184,13 +186,14 @@ class TestKummerMArray:
         @settings(derandomize=True, database=None, deadline=None,
                   max_examples=60)
         @given(a=real_a, b=real_b, zs=st.lists(boxed_z(), min_size=1,
-                                               max_size=6))
-        def check(a, b, zs):
+                                               max_size=6),
+               rtol=st.sampled_from((_CANCEL_RTOL, _PHASE_RTOL)))
+        def check(a, b, zs, rtol):
             z = np.array(zs)
             series = mock.patch.object(specfun, "_kummer_series_double",
                                        wraps=specfun._kummer_series_double)
             with series as spy:
-                vals = kummer_m_array(a, b, z)
+                vals = kummer_m_array(a, b, z, rtol=rtol)
             # failed elements go to the post-series stage directly
             assert spy.call_count == 0
             ref = []
@@ -200,17 +203,19 @@ class TestKummerMArray:
                 high = mock.patch.object(specfun, "_kummer_series_highprec",
                                          wraps=specfun._kummer_series_highprec)
                 with asym as asym_spy, high as high_spy:
-                    ref.append(kummer_m(a, b, zi))
+                    ref.append(kummer_m(a, b, zi, rtol=rtol))
                 if high_spy.call_count:
-                    seen.add("mpmath")
+                    seen.add(("mpmath", rtol))
                 elif asym_spy.call_count:
-                    seen.add("asymptotic")
+                    seen.add(("asymptotic", rtol))
                 else:
-                    seen.add("transform" if zi.real < -1.0 else "series")
+                    seen.add(("transform" if zi.real < -1.0 else "series",
+                              rtol))
             assert _bits(vals) == _bits(np.array(ref))
 
         check()
-        assert seen == set(boxes)
+        assert seen == {(regime, rtol) for regime in boxes
+                        for rtol in (_CANCEL_RTOL, _PHASE_RTOL)}
 
     def test_term_budget_like_scalar(self):
         z = np.array([3.0 + 1e5j])

@@ -2,12 +2,17 @@
 search paths, eigenfunctions, sweeps."""
 
 import math
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from singwave import spectrum
-from singwave.specfun import ConvergenceError
+from singwave.specfun import (_CANCEL_RTOL, _PHASE_RTOL, ConvergenceError,
+                              kummer_m)
 from singwave.spectrum import (Eigenvalue, Rect, SpectralProblem,
                                _real_eigenvalues_generic, alpha_sweep,
                                asymptotic_eigenvalue, char_fn, count_zeros,
@@ -136,28 +141,34 @@ class TestRealAxisScan:
 class TestCharValues:
     def test_each_lambda_evaluated_once(self, monkeypatch):
         # below alpha = 1 there is no real-axis scan, so every evaluation
-        # of F in the solve goes through the problem's cache
+        # of F in the solve goes through the problem's two caches, and
+        # each lambda is evaluated at most once per grade
         p = SpectralProblem(0.7)
         a = 1.0 - p.alpha
         seen = []
 
-        def scalar(aa, b, z):
+        def scalar(aa, b, z, rtol=_CANCEL_RTOL):
             if (aa, b) == (a, 2.0):
-                seen.append(complex(z))
-            return kummer_m(aa, b, z)
+                seen.append((complex(z), rtol))
+            return kummer_m(aa, b, z, rtol=rtol)
 
-        def array(aa, b, z):
+        def array(aa, b, z, rtol=_CANCEL_RTOL):
             if (aa, b) == (a, 2.0):
-                seen.extend(np.ravel(z).tolist())
-            return kummer_m_array(aa, b, z)
+                seen.extend((zi, rtol) for zi in np.ravel(z).tolist())
+            return kummer_m_array(aa, b, z, rtol=rtol)
 
         kummer_m, kummer_m_array = spectrum.kummer_m, spectrum.kummer_m_array
         monkeypatch.setattr(spectrum, "kummer_m", scalar)
         monkeypatch.setattr(spectrum, "kummer_m_array", array)
         evs = find_eigenvalues(p, 4)
         assert len(evs) == 8
-        assert len(seen) == len(set(seen)) == len(p.char_values)
-        assert set(seen) == {-2.0 * lam for lam in p.char_values}
+        assert len(seen) == len(set(seen))
+        for rtol, cache in ((_CANCEL_RTOL, p.char_values),
+                            (_PHASE_RTOL, p.phase_values)):
+            assert cache
+            assert {z for z, r in seen if r == rtol} == {
+                -2.0 * lam for lam in cache}
+        assert {r for _, r in seen} == {_CANCEL_RTOL, _PHASE_RTOL}
 
     def test_cache_per_problem(self):
         p = SpectralProblem(1.5)
@@ -168,6 +179,8 @@ class TestCharValues:
         assert SpectralProblem(1.5) == p
         assert hash(SpectralProblem(1.5)) == hash(p)
         assert "char_values" not in repr(p)
+        assert p.phase_values and q.phase_values == {}
+        assert "phase_values" not in repr(p)
 
     def test_audit_error_before_later_convergence_error(self, monkeypatch):
         # the first audit rectangle holds no zero of F, and a boundary
@@ -176,10 +189,10 @@ class TestCharValues:
         far = 40.0 + 40.0j
 
         def raising(f):
-            def g(aa, b, z):
+            def g(aa, b, z, **kwargs):
                 if np.any(np.abs(np.ravel(z) + 2.0 * far) < 4.0):
                     raise ConvergenceError("forced", -2.0 * far, None)
-                return f(aa, b, z)
+                return f(aa, b, z, **kwargs)
             return g
 
         for name in ("kummer_m", "kummer_m_array"):
@@ -191,6 +204,104 @@ class TestCharValues:
             spectrum._audit(p, evs)
         with pytest.raises(ConvergenceError):
             spectrum._audit(p, evs[1:])
+
+
+def _bits(evs):
+    """Values, residuals and labels of eigenvalues, floats as bit patterns."""
+    return [(ev.value.real.hex(), ev.value.imag.hex(), ev.residual.hex(),
+             ev.index, ev.branch, ev.seed_source) for ev in evs]
+
+
+@st.composite
+def _rect_near_zero(draw):
+    """A non-integer alpha in (0.2, 4.5) and a rectangle: either anywhere in
+    the left half plane's neighbourhood, or with one edge within 1e-3 of a
+    zero of F, on either side of it."""
+    alpha = draw(st.floats(0.2, 4.5).filter(
+        lambda a: abs(a - round(a)) > 1e-6))
+    w, h = draw(st.floats(0.05, 4.0)), draw(st.floats(0.05, 4.0))
+    if not draw(st.booleans()):
+        x, y = draw(st.floats(-8.0, 0.5)), draw(st.floats(-10.0, 10.0))
+        return alpha, Rect(x, x + w, y, y + h), False
+    p = SpectralProblem(alpha)
+    seed = asymptotic_eigenvalue(p, draw(st.integers(1, 3)), "upper")
+    try:
+        lam, _ = spectrum._newton(p, seed)
+    except (spectrum.SpectrumError, ConvergenceError, OverflowError):
+        # Newton leaves the region from the asymptotic seed near alpha = 1,
+        # where F is almost flat; no zero to place a rectangle by
+        reject()
+    d = draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(-6, -3))
+    # the zero sits at fraction t along the edge that passes it at d
+    t = draw(st.floats(0.1, 0.9))
+    edge = draw(st.sampled_from(("left", "right", "bottom", "top")))
+    if edge in ("left", "right"):
+        x = lam.real + d if edge == "left" else lam.real - d - w
+        y = lam.imag - t * h
+    else:
+        y = lam.imag + d if edge == "bottom" else lam.imag - d - h
+        x = lam.real - t * w
+    return alpha, Rect(x, x + w, y, y + h), True
+
+
+class TestPhaseGrade:
+    """Walk samples at the phase grade leave every result unchanged."""
+
+    def test_count_zeros_same_at_both_grades(self):
+        kinds, differ = set(), []
+
+        def outcome(alpha, rect):
+            p = SpectralProblem(alpha)
+            try:
+                return count_zeros(p, rect), p.phase_values
+            except spectrum.SpectrumError as exc:
+                return type(exc), p.phase_values
+
+        @settings(derandomize=True, database=None, deadline=None,
+                  max_examples=40)
+        @given(case=_rect_near_zero())
+        def check(case):
+            alpha, rect, near = case
+            phase, sampled = outcome(alpha, rect)
+            # the walk at the value grade, as it was before the phase grade
+            with mock.patch.object(spectrum, "_PHASE_RTOL", _CANCEL_RTOL):
+                value, ref = outcome(alpha, rect)
+            assert phase == value
+            kinds.add(near)
+            differ.extend(lam for lam, f in sampled.items()
+                          if lam in ref and f != ref[lam])
+
+        check()
+        assert kinds == {True, False}
+        assert differ  # some samples really were taken at the phase grade
+
+    def test_char_fn_reads_no_phase_value(self):
+        p = SpectralProblem(0.7)
+        count_zeros(p, Rect(-2.0, -1.0, 1.0, 3.0))
+        lam = next(iter(p.phase_values))
+        p.phase_values[lam] *= 2.0
+        assert char_fn(p, lam) == kummer_m(1.0 - p.alpha, 2.0, -2.0 * lam)
+        assert spectrum._phase_fn(p, lam) == char_fn(p, lam)
+
+    @pytest.mark.parametrize("alpha", [0.7, 2.3])
+    @pytest.mark.parametrize("factor", [1 + 1e-9, 1 + 1e-9j])
+    def test_perturbed_phase_values_change_nothing(self, monkeypatch, alpha,
+                                                   factor):
+        ref = find_eigenvalues(SpectralProblem(alpha), 5)
+
+        def perturbed(f):
+            def g(aa, b, z, rtol=_CANCEL_RTOL):
+                out = f(aa, b, z, rtol=rtol)
+                return out * factor if rtol == _PHASE_RTOL else out
+            return g
+
+        for name in ("kummer_m", "kummer_m_array"):
+            monkeypatch.setattr(spectrum, name,
+                                perturbed(getattr(spectrum, name)))
+        p = SpectralProblem(alpha)
+        evs = find_eigenvalues(p, 5)
+        assert p.phase_values
+        assert _bits(evs) == _bits(ref)
 
 
 class TestAsymptoticSeeds:
@@ -339,3 +450,20 @@ class TestAlphaSweep:
         for t in spans:
             vals = [p.value for p in sorted(t, key=lambda p: p.alpha)]
             assert all(abs(b - a) < 1.5 for a, b in zip(vals, vals[1:]))
+
+    def test_dropped_point_recorded(self, monkeypatch):
+        find = spectrum.find_eigenvalues
+
+        def failing(problem, *args, **kwargs):
+            if problem.alpha == 1.3:
+                raise spectrum.NewtonError(0.5j)
+            return find(problem, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "find_eigenvalues", failing)
+        pts = alpha_sweep([1.2, 1.3, 1.4], 1)
+        assert pts.dropped == [
+            (1.3, "NewtonError: Newton iteration stagnated (seed 0.5j)")]
+        assert {p.alpha for p in pts} == {1.2, 1.4}
+        # pool workers return the record with the points
+        assert pickle.loads(pickle.dumps(pts)).dropped == pts.dropped
+        assert alpha_sweep([1.2, 1.4], 1).dropped == []
