@@ -257,23 +257,24 @@ _SIM_DEFAULTS = {"alpha": None, "preset": "sine:1", "T": 4.0, "dt": 5e-4,
 
 
 def _write_snapshots(run, out):
-    lines = [f"# singwave v1, alpha={run.alpha}, N={run.grid.N}, "
-             f"dt={run.dt}"]
-    x = run.grid.nodes
+    # joined per snapshot, so that one snapshot's rows are held at a time
+    parts = [f"# singwave v1, alpha={run.alpha}, N={run.grid.N}, "
+             f"dt={run.dt}\n"]
+    xs = [f"{xi:.10g}" for xi in run.grid.nodes.tolist()]
     for t, state in zip(run.snapshot_times, run.snapshots):
-        for xi, ui, vi in zip(x, state.u, state.v):
-            lines.append(f"{t:.10g},{xi:.10g},{ui:.16g},{vi:.16g}")
-        lines.append("")
-    _write("\n".join(lines) + "\n", out)
+        ts = f"{t:.10g}"
+        rows = [f"{ts},{xi},{ui:.16g},{vi:.16g}\n" for xi, ui, vi
+                in zip(xs, state.u.tolist(), state.v.tolist())]
+        parts.append("".join(rows) + "\n")
+    _write("".join(parts), out)
 
 
 def _write_energy(run, out):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t", "E"])
-    for t, e in zip(run.trace.times, run.trace.energies):
-        writer.writerow([f"{t:.10g}", f"{e:.16g}"])
-    _write(buf.getvalue(), out)
+    # the csv module's dialect: no field here needs quoting, rows end in \r\n
+    rows = ["t,E\r\n"]
+    rows += [f"{t:.10g},{e:.16g}\r\n" for t, e
+             in zip(run.trace.times.tolist(), run.trace.energies.tolist())]
+    _write("".join(rows), out)
 
 
 def cmd_simulate(args):
@@ -326,6 +327,9 @@ def cmd_extinction(args):
         run = simulate(alpha, data, 4.0, dt_l, N=N_l)
         tr = run.trace
         idx = int(np.searchsorted(tr.times, 2.2))
+        if idx == len(tr.times):
+            raise ConfigError(f"refinement level dt={dt_l} has no time "
+                              f"sample at t >= 2.2; use a smaller --dt")
         trend.append({"N": N_l, "dt": dt_l,
                       "residual_ratio": tr.energies[idx] / tr.energies[0]})
     report["refinement_trend"] = trend

@@ -116,10 +116,17 @@ def _kummer_series_double(a, b, z):
         if term == 0:  # terminating series (a a non-positive integer)
             return acc, max_mag, k + 1
         acc += term
-        mag = abs(acc)
+        try:  # abs() raises past the float range, where np.hypot gives inf
+            mag = abs(acc)
+        except OverflowError:
+            mag = math.inf
         if mag > max_mag:
             max_mag = mag
-        if abs(term) < _SERIES_RTOL * max(mag, 1e-300):
+        try:
+            term_mag = abs(term)
+        except OverflowError:
+            term_mag = math.inf
+        if term_mag < _SERIES_RTOL * max(mag, 1e-300):
             small_run += 1
             if small_run >= _SERIES_RUN:
                 return acc, max_mag, k + 1

@@ -1,6 +1,8 @@
 """CLI tests: argument handling, output formats, config precedence,
 exit codes and determinism."""
 
+import csv
+import io
 import json
 import multiprocessing
 import os
@@ -8,8 +10,10 @@ import os
 import numpy as np
 import pytest
 
-from singwave import spectrum
+from singwave import cli, spectrum
 from singwave.cli import main
+from singwave.data import bump_data
+from singwave.evolution import simulate
 from singwave.spectrum import SpectralProblem
 
 
@@ -67,6 +71,14 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", "--alpha", "1.0000001")
         assert code == 1
         assert "computation error" in err
+
+    def test_modulus_overflow_is_classified(self, capsys):
+        # Newton's first step from the asymptotic seed reaches |z| ~ 866,
+        # where a partial sum's modulus passes the float range
+        code, _, err = run_cli(capsys, "spectrum", "--alpha", "0.99999",
+                               "--kmax", "3")
+        assert code == 0 or (code == 1 and "computation error" in err)
+        assert "Traceback" not in err
 
 
 # re/im columns of `spectrum --alpha A --kmax 5`, recorded before the
@@ -189,6 +201,27 @@ class TestSimulate:
         assert energy_lines[0] == "t,E"
         assert len(energy_lines) == 22  # header + 21 steps incl t=0
 
+    def test_writers_match_per_element_formatting(self, tmp_path):
+        run = simulate(2.0, bump_data(), 0.05, 0.01, N=30, n_snapshots=3)
+        # the writers' former per-element formatting of numpy scalars,
+        # kept here as the reference for their output bytes
+        lines = [f"# singwave v1, alpha={run.alpha}, N={run.grid.N}, "
+                 f"dt={run.dt}"]
+        for t, state in zip(run.snapshot_times, run.snapshots):
+            for xi, ui, vi in zip(run.grid.nodes, state.u, state.v):
+                lines.append(f"{t:.10g},{xi:.10g},{ui:.16g},{vi:.16g}")
+            lines.append("")
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["t", "E"])
+        for t, e in zip(run.trace.times, run.trace.energies):
+            writer.writerow([f"{t:.10g}", f"{e:.16g}"])
+        snap, en = tmp_path / "run.snap", tmp_path / "run.energy.csv"
+        cli._write_snapshots(run, str(snap))
+        cli._write_energy(run, str(en))
+        assert snap.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert en.read_bytes() == buf.getvalue().encode()
+
     def test_file_preset(self, capsys, tmp_path):
         data = tmp_path / "data.csv"
         x = np.linspace(0.1, 0.9, 9)
@@ -259,6 +292,13 @@ class TestExtinction:
                                "--N", "40", "--dt", "1.8")
         assert code == 1
         assert "computation error: window too short for a fit" in err
+
+    def test_coarse_dt_is_config_error(self, capsys):
+        # the coarsest level (dt x 4 = 10) has one sample, none at t = 2.2
+        code, _, err = run_cli(capsys, "extinction", "--alpha", "2",
+                               "--N", "40", "--dt", "2.5")
+        assert code == 2
+        assert "config error: refinement level dt=10.0" in err
 
     def test_report(self, capsys):
         code, out, _ = run_cli(capsys, "extinction", "--alpha", "1",

@@ -155,15 +155,17 @@ class TestStepperOracle:
     @pytest.mark.parametrize("make", [lambda: sine_data(1), bump_data],
                              ids=["sine", "bump"])
     def test_matches_extended_precision(self, alpha, make):
-        dt, n_steps, N = 1e-3, 300, 300
-        data = make()
-        u, v = _schur_trapezoid_extended(alpha, data, dt, N, n_steps)
-        got = simulate(alpha, data, n_steps * dt, dt, N=N,
-                       snapshot_times=[n_steps * dt]).snapshots[-1]
-        assert float(np.max(np.abs(got.u - u))) \
-            <= 1e-12 * float(np.max(np.abs(u)))
-        assert float(np.max(np.abs(got.v - v))) \
-            <= 1e-12 * float(np.max(np.abs(v)))
+        dt, data = 1e-3, make()
+        # a fine grid, and a coarse one over 2,000 steps, where rounding
+        # has long to grow
+        for N, n_steps in ((300, 300), (40, 2000)):
+            u, v = _schur_trapezoid_extended(alpha, data, dt, N, n_steps)
+            got = simulate(alpha, data, n_steps * dt, dt, N=N,
+                           snapshot_times=[n_steps * dt]).snapshots[-1]
+            assert float(np.max(np.abs(got.u - u))) \
+                <= 1e-12 * float(np.max(np.abs(u)))
+            assert float(np.max(np.abs(got.v - v))) \
+                <= 1e-12 * float(np.max(np.abs(v)))
 
 
 class TestStepAudit:

@@ -224,6 +224,20 @@ class TestKummerMArray:
         with pytest.raises(ConvergenceError):
             kummer_m_array(-1e-7, 2.0, z)
 
+    def test_modulus_overflow_like_array(self):
+        # Newton's first step at alpha = 0.99999: the partial sums' parts
+        # stay finite while their modulus passes the float range, where
+        # abs() raises and np.hypot gives inf
+        a, b, z = 1.99999, 2.0, 312.6592383586838 + 808.0974907694454j
+        outcomes = []
+        for evaluate in (lambda: [kummer_m(a, b, z)],
+                         lambda: kummer_m_array(a, b, np.array([z]))):
+            try:
+                outcomes.append(_bits(evaluate()))
+            except ConvergenceError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
     def test_a_zero_and_bad_b(self):
         z = np.array([0.5, 3.0 + 2.0j, -5.0])
         ref = [kummer_m(0.0, 2.0, zi) for zi in z]
