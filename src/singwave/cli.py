@@ -127,8 +127,8 @@ def _positive_alpha(cfg):
     if cfg["alpha"] is None:
         raise ConfigError("--alpha is required")
     alpha = float(cfg["alpha"])
-    if not alpha > 0:
-        raise ConfigError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ConfigError("alpha must be positive and finite")
     return alpha
 
 
@@ -166,9 +166,7 @@ _SPECTRUM_DEFAULTS = {"alpha": None, "kmax": 5, "radius": None}
 
 def cmd_spectrum(args):
     cfg = _effective(args, _SPECTRUM_DEFAULTS)
-    if cfg["alpha"] is None:
-        raise ConfigError("--alpha is required")
-    problem = SpectralProblem(float(cfg["alpha"]))
+    problem = SpectralProblem(_positive_alpha(cfg))
     evs = find_eigenvalues(problem, int(cfg["kmax"]),
                            search_radius=cfg["radius"])
     branch_order = {"real": 0, "upper": 1, "lower": 2}
@@ -192,8 +190,9 @@ _SWEEP_DEFAULTS = {"alpha_min": 1.1, "alpha_max": 2.9, "step": 0.01,
 
 def _sweep_grid(cfg):
     a0, a1, step = cfg["alpha_min"], cfg["alpha_max"], cfg["step"]
-    if not (0 < a0 < a1) or step <= 0:
-        raise ConfigError("need 0 < alpha-min < alpha-max and step > 0")
+    if not (0 < a0 < a1 < math.inf and 0 < step < math.inf):
+        raise ConfigError("need 0 < alpha-min < alpha-max < inf and "
+                          "0 < step < inf")
     count = int(round((a1 - a0) / step))
     grid = [a0 + i * step for i in range(count + 1) if a0 + i * step <= a1 + 1e-12]
     refine = int(cfg["refine_integers"])

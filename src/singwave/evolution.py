@@ -23,18 +23,20 @@ place. L u = diff(u_x)/h reuses the u_x of the last step's energy audit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+from scipy.interpolate import PPoly
 from scipy.linalg import lapack
 
-from .data import InitialData
+from .data import combine, mode_data
 from .spectrum import standing_mode
 
 _ENERGY_INCREASE_TOL = 1e-10
 _GRAM_COND_MAX = 1e12
+_PANELS = 64  # uniform panels of the composite Gauss-Legendre rule
 
 
 class EvolutionError(Exception):
@@ -188,10 +190,33 @@ def simulate(alpha, initial, T, dt, N=2000, snapshot_times=None,
                          EnergyTrace(times, energies), max(max_inc, 0.0))
 
 
-def _quad(f, tol=1e-11):
-    val, _err = scipy.integrate.quad(f, 0.0, 1.0, epsabs=tol, epsrel=tol,
-                                     limit=200)
-    return val
+@functools.cache
+def _legendre_rule():
+    # 16-point Gauss-Legendre rule on [-1, 1], exact for degree <= 31;
+    # computed on first use because leggauss initialises LAPACK (~0.8 MB)
+    return np.polynomial.legendre.leggauss(16)
+
+
+def _gauss_legendre(*fns):
+    """Nodes and weights of the composite 16-point Gauss-Legendre rule on
+    [0, 1]: _PANELS uniform panels, split at the breakpoints of every PPoly
+    among fns, so that a spline's kinks fall on panel edges."""
+    breaks = np.linspace(0.0, 1.0, _PANELS + 1)
+    for f in fns:
+        if isinstance(f, PPoly):
+            breaks = np.union1d(breaks, np.clip(f.x, 0.0, 1.0))
+    nodes, weights = _legendre_rule()
+    half = 0.5 * np.diff(breaks)[:, None]
+    mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]
+    return (mid + half * nodes).ravel(), (half * weights).ravel()
+
+
+def _mode_rows(n, x):
+    """mu = [mu_k] and the rows F = [f_k(x)], DF = [f_k'(x)], k = 1..n."""
+    modes = [standing_mode(n, k) for k in range(1, n + 1)]
+    return (np.array([m.mu for m in modes]),
+            np.array([m.f(x) for m in modes]),
+            np.array([m.df(x) for m in modes]))
 
 
 def projection_condition(data, n):
@@ -199,59 +224,27 @@ def projection_condition(data, n):
     = <u0', f_k'> - mu_k <u1, f_k>, k = 1..n (poles ascending)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = np.empty(n)
-    for k in range(n):
-        mu, f, df, _ = standing_mode(n, k + 1)
-        a = _quad(lambda x: float(data.du0(x)) * float(df(x)))
-        b = _quad(lambda x: float(data.u1(x)) * float(f(x)))
-        out[k] = a - mu * b
-    return out
+    x, w = _gauss_legendre(data.u0, data.u1, data.du0)
+    mu, F, DF = _mode_rows(n, x)
+    return DF @ (w * data.du0(x)) - mu * (F @ (w * data.u1(x)))
 
 
 def project_out(data, n):
     """Data minus its component in the span of the standing-wave pairs
     (f_k, mu_k f_k), so that projection_condition of the result vanishes."""
-    modes = [standing_mode(n, k) for k in range(1, n + 1)]
     c = projection_condition(data, n)
-    gram = np.empty((n, n))
-    for k, (mu_k, f_k, df_k, _) in enumerate(modes):
-        for j, (mu_j, f_j, df_j, _) in enumerate(modes):
-            a = _quad(lambda x: float(df_j(x)) * float(df_k(x)))
-            b = _quad(lambda x: float(f_j(x)) * float(f_k(x)))
-            gram[k, j] = a - mu_k * mu_j * b
-    if np.linalg.cond(gram) > _GRAM_COND_MAX:
-        raise EvolutionError(
-            f"singular Gram matrix (cond={np.linalg.cond(gram):.3e}); "
-            f"eigenvalues not simple?")
+    x, w = _gauss_legendre()
+    mu, F, DF = _mode_rows(n, x)
+    gram = (DF * w) @ DF.T - np.outer(mu, mu) * ((F * w) @ F.T)
+    cond = np.linalg.cond(gram)
+    if cond > _GRAM_COND_MAX:
+        raise EvolutionError(f"singular Gram matrix (cond={cond:.3e}); "
+                             f"eigenvalues not simple?")
     beta = np.linalg.solve(gram, c)
-
-    def u0(x):
-        acc = np.asarray(data.u0(x), dtype=float).copy()
-        for b_j, m in zip(beta, modes):
-            acc -= b_j * m.f(x)
-        return acc
-
-    def u1(x):
-        acc = np.asarray(data.u1(x), dtype=float).copy()
-        for b_j, m in zip(beta, modes):
-            acc -= b_j * m.mu * m.f(x)
-        return acc
-
-    def du0(x):
-        acc = np.asarray(data.du0(x), dtype=float).copy()
-        for b_j, m in zip(beta, modes):
-            acc -= b_j * m.df(x)
-        return acc
-
-    def u0_over_x(x):
-        x = np.asarray(x, dtype=float)
-        acc = np.asarray(data.u0_over_x(x), dtype=float).copy()
-        for b_j, m in zip(beta, modes):
-            acc -= b_j * m.f_over_x(x)
-        return acc
-
-    return InitialData(u0=u0, u1=u1, du0=du0, u0_over_x=u0_over_x,
-                       label=f"{data.label}|projected")
+    out = combine([data, *(mode_data(n, k) for k in range(1, n + 1))],
+                  [1.0, *(-beta)])
+    out.label = f"{data.label}|projected"
+    return out
 
 
 def extinction_time(run, threshold_ratio):

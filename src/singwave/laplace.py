@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 from scipy.interpolate import CubicSpline
 
-from .specfun import (exp_integral_e1, exp_integral_e1_array, laguerre,
-                      laguerre_coeffs, p_poly)
+from .specfun import exp_integral_e1, exp_integral_e1_array, laguerre, p_poly
 from .spectrum import laguerre_poles, standing_mode
 
 _POLE_TOL = 1e-8
@@ -75,16 +73,16 @@ class LaplaceRHS:
 
 
 def partial_fractions(n):
-    """Residues a_k = P_n(-2 mu_k) / (-2 (L_n^(1))'(-2 mu_k)); the poles are
-    simple because Laguerre roots are."""
+    """Residues a_k = P_n(-2 mu_k) / (-2 (L_n^(1))'(-2 mu_k))
+    = P_n(-2 mu_k) / (2 L_{n-1}^(2)(-2 mu_k)), by d/dx L_n^(1) = -L_{n-1}^(2);
+    the poles are simple because Laguerre roots are."""
     if n < 1:
         raise ValueError("n must be >= 1")
     poles = laguerre_poles(n)
     pn = p_poly(n)
-    dlag = laguerre_coeffs(n, 1).derivative()
     coeffs = []
     for mu in poles:
-        a = pn(-2.0 * mu) / (-2.0 * dlag(-2.0 * mu))
+        a = pn(-2.0 * mu) / (2.0 * laguerre(n - 1, 2, -2.0 * mu))
         if abs(a) <= _COEFF_MIN:
             raise LaplaceError(f"residue a_k ~ 0 at mu={mu} (n={n}); "
                                f"root finder or polynomial defect")
@@ -99,6 +97,10 @@ def _log_integral(x, tau):
         return 0.0 + 0.0j
     if tau == 0:
         return -math.log(x)
+    # the package's one scalar quadrature, imported by its one user so
+    # that importing the CLI leaves scipy.integrate out
+    import scipy.integrate
+
     re = scipy.integrate.quad(
         lambda s: math.exp(-2.0 * tau.real * s) / s
         * math.cos(2.0 * tau.imag * s), x, 1.0, epsabs=1e-12, epsrel=1e-12,

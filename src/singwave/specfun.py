@@ -78,22 +78,12 @@ class PolynomialCoeffs:
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def __call__(self, x):
         # Horner, works for real or complex x
         acc = 0.0 * x + 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self):
-        if self.degree == 0:
-            return PolynomialCoeffs((0.0,))
-        d = tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
-        return PolynomialCoeffs(d)
 
 
 def _recip_gamma(x):
@@ -420,7 +410,10 @@ def laguerre(n, beta, x):
 
 
 def laguerre_coeffs(n, beta):
-    """Coefficients of L_n^(beta), ascending degree (exact, then floats)."""
+    """Coefficients of L_n^(beta), ascending degree (exact, then floats).
+
+    The explicit-coefficient oracle of the tests; the package evaluates
+    L_n^(beta) by the recurrence in laguerre()."""
     if n < 0:
         raise ValueError("n must be non-negative")
     coeffs = []

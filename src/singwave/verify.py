@@ -10,16 +10,14 @@ evolution modules together, so it doubles as a cross-module oracle.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 from scipy.interpolate import CubicSpline, PPoly
 
 from .data import sine_data
-from .evolution import projection_condition
+from .evolution import _gauss_legendre, projection_condition
 from .laplace import LaplaceRHS
 from .spectrum import laguerre_poles, standing_mode
 
@@ -33,26 +31,6 @@ class ResolventProbe:
     ratio: float
 
 
-def _quad(f, a=0.0, b=1.0):
-    return scipy.integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-12,
-                                limit=200)[0]
-
-
-@functools.cache
-def _legendre_rule():
-    # 16-point Gauss-Legendre rule on [-1, 1], exact for degree <= 31;
-    # computed on first use because leggauss initialises LAPACK (~0.8 MB)
-    return np.polynomial.legendre.leggauss(16)
-
-
-def _gauss_legendre(breaks):
-    """Nodes and weights of the composite rule over the panels of breaks."""
-    nodes, weights = _legendre_rule()
-    half = 0.5 * np.diff(breaks)[:, None]
-    mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]
-    return (mid + half * nodes).ravel(), (half * weights).ravel()
-
-
 def hardy_check(psi, dpsi=None):
     """(lhs, rhs) of int |psi|^2/x^2 <= 4 int |psi'|^2 for psi(0)=psi(1)=0.
 
@@ -61,13 +39,15 @@ def hardy_check(psi, dpsi=None):
     interior grid. Grid vectors, and callables given without a derivative,
     are replaced by their cubic spline.
 
-    Both integrals use composite 16-point Gauss-Legendre quadrature. For a
-    spline the panels are its own pieces, so 4 int |psi'|^2 is exact (degree
-    4 per piece), and so is int |psi|^2/x^2 on the first piece, where
-    psi(0) = 0 makes psi/x a polynomial. With uniform knots, 1/x^2 is
-    analytic at least three half-widths away from every other piece, where
-    the rule's relative error is below 1e-20. No node sits at x = 0. A
-    plain callable, evaluated one scalar at a time, uses 64 uniform panels.
+    Both integrals use the composite 16-point Gauss-Legendre rule of
+    evolution._gauss_legendre. For a spline the panels are its own pieces
+    split at the rule's 64 uniform panels, so no panel crosses a knot:
+    4 int |psi'|^2 is exact (degree 4 per panel), and so is
+    int |psi|^2/x^2 on the first piece, where psi(0) = 0 makes psi/x a
+    polynomial. With uniform knots, 1/x^2 is analytic at least three
+    half-widths away from every panel beyond the first piece, where the
+    rule's relative error is below 1e-20. No node sits at x = 0. A plain
+    callable, evaluated one scalar at a time, uses the 64 uniform panels.
     """
     if not callable(psi):
         vals = np.asarray(psi, dtype=float)
@@ -77,14 +57,12 @@ def hardy_check(psi, dpsi=None):
         spline_x = np.linspace(0.0, 1.0, 2001)
         psi = CubicSpline(spline_x, psi(spline_x))
     if isinstance(psi, PPoly):
-        breaks = np.union1d([0.0, 1.0], np.clip(psi.x, 0.0, 1.0))
         if dpsi is None:
             dpsi = psi.derivative()
     else:
-        breaks = np.linspace(0.0, 1.0, 65)
         psi = np.vectorize(psi, otypes=[float])
         dpsi = np.vectorize(dpsi, otypes=[float])
-    x, w = _gauss_legendre(breaks)
+    x, w = _gauss_legendre(psi)
     lhs = float(w @ (psi(x) / x) ** 2)
     rhs = 4.0 * float(w @ dpsi(x) ** 2)
     return lhs, rhs
@@ -167,17 +145,18 @@ def lemma_condition_identity(data, n):
     Integration by parts against the eigen-ODE of f_k gives the energy
     pairing as -mu_k times the L2 pairing with r (both sides share the same
     zero set since mu_k < 0, so either reading characterizes extinction; the
-    -mu_k factor is fixed by matching simulated tails). The left side is
-    evaluated by the evolution module's quadrature, the right side
-    independently here; agreement certifies consistent conventions across
-    spectrum, laplace and evolution.
+    -mu_k factor is fixed by matching simulated tails). Both sides use the
+    same quadrature nodes, so agreement certifies the integration-by-parts
+    identity, and with it consistent conventions across spectrum, laplace
+    and evolution, not the quadrature.
     """
     energy_side = projection_condition(data, n)
     rhs = LaplaceRHS(data, n)
+    x, w = _gauss_legendre(data.u0, data.u1, data.du0)
     worst = 0.0
     for k, lhs in enumerate(energy_side, start=1):
         mu, f, _, _ = standing_mode(n, k)
-        l2_side = _quad(lambda x: float(np.real(rhs(x, mu))) * float(f(x)))
+        l2_side = w @ (np.real(rhs(x, mu)) * f(x))
         worst = max(worst, abs(lhs - (-mu) * l2_side))
     return worst
 

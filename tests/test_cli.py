@@ -6,6 +6,8 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +58,13 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum")
         assert code == 2
         assert "alpha" in err
+
+    def test_nonpositive_alpha_is_config_error(self, capsys):
+        for alpha in ("0", "-0.5", "inf", "nan"):
+            code, _, err = run_cli(capsys, "spectrum", "--alpha", alpha)
+            assert code == 2
+            assert "config error: alpha must be positive" in err
+            assert "Traceback" not in err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "spec.csv"
@@ -148,9 +157,13 @@ class TestSweep:
         assert 2.0 not in alphas
 
     def test_bad_range(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "--alpha-min", "3",
-                               "--alpha-max", "2")
-        assert code == 2
+        for argv in (("--alpha-min", "3", "--alpha-max", "2"),
+                     ("--alpha-max", "inf"), ("--alpha-min", "nan"),
+                     ("--step", "inf"), ("--step", "nan")):
+            code, _, err = run_cli(capsys, "sweep", *argv)
+            assert code == 2, argv
+            assert "config error: need 0 < alpha-min" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("jobs", [
         "1", pytest.param("2", marks=pytest.mark.skipif(
@@ -262,12 +275,13 @@ class TestSimulate:
     def test_nonpositive_alpha_is_config_error(self, capsys, tmp_path):
         # anti-damping is outside the model; the library-level energy
         # audit is covered in test_evolution
-        for alpha in ("0", "-0.5"):
+        for alpha in ("0", "-0.5", "inf", "nan"):
             code, _, err = run_cli(capsys, "simulate", "--alpha", alpha,
                                    "--T", "0.1", "--dt", "1e-3", "--N", "200",
                                    "--out", str(tmp_path / "run.snap"))
             assert code == 2
             assert "config error: alpha must be positive" in err
+            assert "Traceback" not in err
         assert not (tmp_path / "run.snap").exists()
 
 
@@ -279,11 +293,29 @@ class TestExtinction:
 
     def test_nonpositive_alpha_is_config_error(self, capsys):
         for extra in ((), ("--allow-noninteger",)):
-            for alpha in ("0", "-0.5"):
+            for alpha in ("0", "-0.5", "inf", "nan"):
                 code, _, err = run_cli(capsys, "extinction", "--alpha", alpha,
                                        "--N", "40", "--dt", "0.02", *extra)
                 assert code == 2
                 assert "config error: alpha must be positive" in err
+                assert "Traceback" not in err
+
+    def test_file_preset_project(self, capsys, tmp_path):
+        # 50-knot spline data: the projections integrate over its pieces
+        # without a warning (the suite turns warnings into errors)
+        path = tmp_path / "data.csv"
+        x = np.linspace(0.02, 0.98, 50)
+        np.savetxt(path, np.column_stack(
+            [x, np.sin(np.pi * x) * (1 + 0.3 * np.cos(5 * x)),
+             x * (1 - x) * np.exp(x)]), delimiter=",")
+        code, out, err = run_cli(capsys, "extinction", "--alpha", "3",
+                                 "--preset", f"file:{path}", "--project",
+                                 "--N", "200", "--dt", "0.004")
+        assert code == 0, err
+        assert err == ""
+        report = json.loads(out)["report"]
+        assert report["projected"] is True
+        assert len(report["projection_condition"]) == 2
 
     def test_short_fit_window_is_computation_error(self, capsys):
         # dt = 1.8 leaves one sample of the finest run in the decay-rate
@@ -406,3 +438,14 @@ class TestDeterminism:
         b = run_cli(capsys, "spectrum", "--alpha", "1.7", "--kmax", "2",
                     "--format", "json")
         assert a == b
+
+
+def test_import_leaves_out_scipy_integrate():
+    # only laplace's singular 1/s integral needs scipy.integrate, and it
+    # imports it on first use
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, singwave.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code],
+                          env=env).returncode == 0

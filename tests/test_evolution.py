@@ -221,27 +221,67 @@ class TestStepAudit:
 
 class TestProjection:
     def test_mode_pairing_magnitude(self):
-        # oracle: direct quadrature of the energy pairing for mode data
+        # oracle: scalar quad of the energy pairing <u0', f_k'> - mu_k
+        # <u1, f_k>, with f_k written out from the Laguerre poles, for
+        # n = 1..8 on sine, bump and mode data. The mode rows are the Gram
+        # matrix gram[k, j] = pairing of mode:j with mode k, so project_out,
+        # which solves with it, must send each mode to zero.
         import scipy.integrate
-        n = 2
-        data = mode_data(n, 1)
-        c = projection_condition(data, n)
-        assert abs(c[0]) > 1e-3  # nonzero self-pairing
-        mu = math.nan
-        from singwave.spectrum import laguerre_poles
-        mus = laguerre_poles(n)
         from singwave.specfun import laguerre
-        mu = mus[0]
-        f = lambda x: x * np.exp(mu * x) * np.real(
-            laguerre(n, 1, -2 * mu * x))
-        df = lambda x: np.exp(mu * x) * (
-            (1 + mu * x) * np.real(laguerre(n, 1, -2 * mu * x))
-            + 2 * mu * x * np.real(laguerre(n - 1, 2, -2 * mu * x)))
-        a = scipy.integrate.quad(lambda x: float(data.du0(x)) * float(df(x)),
-                                 0, 1, epsabs=1e-12)[0]
-        b = scipy.integrate.quad(lambda x: float(data.u1(x)) * float(f(x)),
-                                 0, 1, epsabs=1e-12)[0]
-        assert c[0] == pytest.approx(a - mu * b, abs=1e-10)
+        from singwave.spectrum import laguerre_poles
+
+        def quad(f):
+            return scipy.integrate.quad(lambda x: float(f(x)), 0, 1,
+                                        epsabs=1e-13, epsrel=1e-13,
+                                        limit=200)[0]
+
+        assert abs(projection_condition(mode_data(2, 1), 2)[0]) > 1e-3
+        x = np.linspace(0.0, 1.0, 101)
+        for n in range(1, 9):
+            pairs = []
+            for mu in laguerre_poles(n):
+                f = lambda x, mu=mu: x * np.exp(mu * x) * np.real(
+                    laguerre(n, 1, -2 * mu * x))
+                df = lambda x, mu=mu: np.exp(mu * x) * (
+                    (1 + mu * x) * np.real(laguerre(n, 1, -2 * mu * x))
+                    + 2 * mu * x * np.real(laguerre(n - 1, 2, -2 * mu * x)))
+                pairs.append((mu, f, df))
+            modes = [mode_data(n, k) for k in range(1, n + 1)]
+            for data in [sine_data(1), bump_data(), *modes]:
+                ref = np.array([
+                    quad(lambda x: data.du0(x) * df(x))
+                    - mu * quad(lambda x: data.u1(x) * f(x))
+                    for mu, f, df in pairs])
+                c = projection_condition(data, n)
+                assert np.max(np.abs(c - ref)) \
+                    <= 1e-13 * np.max(np.abs(ref)), (n, data)
+            for data in modes:
+                rest = project_out(data, n)
+                assert np.max(np.abs(rest.u0(x))) < 1e-13, (n, data)
+                assert np.max(np.abs(rest.u1(x))) < 1e-13, (n, data)
+
+    def test_spline_data_matches_fine_rule(self):
+        # 50-knot from_grid data, as the file: preset reads them. The
+        # rule's panels split at the knots; the reference is a 10-point
+        # rule on 4,096 uniform panels, also split at the knots.
+        from singwave.spectrum import standing_mode
+
+        knots = np.linspace(0.02, 0.98, 50)
+        data = InitialData.from_grid(
+            knots, np.sin(np.pi * knots) * (1 + 0.3 * np.cos(5 * knots)),
+            knots * (1 - knots) * np.exp(knots))
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        breaks = np.union1d(np.linspace(0.0, 1.0, 4097), data.u0.x)
+        half = 0.5 * np.diff(breaks)[:, None]
+        mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]
+        x, w = (mid + half * nodes).ravel(), (half * weights).ravel()
+        for n in (1, 2):
+            modes = [standing_mode(n, k) for k in range(1, n + 1)]
+            ref = np.array([w @ (data.du0(x) * m.df(x))
+                            - m.mu * (w @ (data.u1(x) * m.f(x)))
+                            for m in modes])
+            c = projection_condition(data, n)
+            assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_project_out_annihilates(self):
         for n in (1, 2):
