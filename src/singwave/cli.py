@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -219,6 +218,9 @@ def cmd_sweep(args):
     jobs = _jobs(args)
     kmax = int(cfg["kmax"])
     if jobs > 1 and len(grid) > 2 * jobs:
+        # the pool's import costs ~25 ms; serial runs never pay it
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [list(c) for c in np.array_split(grid, jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_sweep_chunk,

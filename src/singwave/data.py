@@ -3,13 +3,113 @@
 Data live in the energy space: u0 with one weak derivative vanishing at the
 endpoints, u1 square integrable. Evaluators are vectorized over numpy
 arrays; u0_over_x supplies u0(x)/x with its finite limit at x = 0, which the
-Hardy inequality keeps square integrable.
+Hardy inequality keeps square integrable. Sampled data are interpolated by
+Spline, the package's one piecewise polynomial.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve, solve_banded
+
+
+class Spline:
+    """Piecewise polynomial in scipy's PPoly layout: on [x[i], x[i+1]] the
+    value is sum_k c[k, i] (t - x[i])**(K - k), K = len(c) - 1, extended
+    by the end pieces outside [x[0], x[-1]]. Real or complex coefficients.
+
+    Evaluation, derivative() and antiderivative() repeat the arithmetic of
+    scipy.interpolate.PPoly (powers of s summed from the constant term up),
+    so they agree with it bit for bit."""
+
+    def __init__(self, c, x):
+        self.c = c
+        self.x = x
+
+    @classmethod
+    def interpolate(cls, x, y):
+        """The not-a-knot cubic spline through (x, y), assembled and solved
+        as scipy.interpolate.CubicSpline does; x strictly increasing."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y)
+        y = y.astype(complex if np.iscomplexobj(y) else float)
+        n = len(x)
+        dx = np.diff(x)
+        if n < 2 or len(y) != n or np.any(dx <= 0):
+            raise ValueError("need at least 2 strictly increasing knots, "
+                             "one value each")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("spline knots and values must be finite")
+        slope = np.diff(y) / dx
+        if n == 2:  # the line through both points
+            s = np.array([slope[0], slope[0]])
+        elif n == 3:  # both conditions coincide: the parabola
+            A = np.array([[1.0, 1.0, 0.0],
+                          [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
+                          [0.0, 1.0, 1.0]])
+            b = np.array([2 * slope[0],
+                          3 * (dx[0] * slope[1] + dx[1] * slope[0]),
+                          2 * slope[1]])
+            s = solve(A, b.reshape(3, -1), overwrite_a=True,
+                      overwrite_b=True, check_finite=False).reshape(3)
+        else:
+            # slopes s_i from the tridiagonal system, in banded storage
+            A = np.zeros((3, n))
+            b = np.empty(n, dtype=y.dtype)
+            A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+            A[0, 2:] = dx[:-1]
+            A[-1, :-2] = dx[1:]
+            b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            A[1, 0] = dx[1]
+            A[0, 1] = d = x[2] - x[0]
+            b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0]
+                    + dx[0] ** 2 * slope[1]) / d
+            A[1, -1] = dx[-2]
+            A[-1, -2] = d = x[-1] - x[-3]
+            b[-1] = (dx[-1] ** 2 * slope[-2]
+                     + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+            s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
+                             overwrite_b=True, check_finite=False).reshape(n)
+        # Hermite form on each piece
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        return cls(c, x)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        i = np.clip(np.searchsorted(self.x, flat, side="right") - 1,
+                    0, len(self.x) - 2)
+        s = flat - self.x[i]
+        out = 0.0 + self.c[-1, i]  # scipy's sum starts at 0: -0.0 reads 0.0
+        z = s
+        for k in range(len(self.c) - 2, -1, -1):
+            out = out + self.c[k, i] * z
+            if k:
+                z = z * s
+        return out.reshape(t.shape)
+
+    def derivative(self):
+        k = len(self.c) - 1
+        return Spline(self.c[:-1] * np.arange(k, 0, -1.0)[:, None], self.x)
+
+    def antiderivative(self):
+        """The antiderivative that vanishes at x[0]."""
+        k = len(self.c)
+        c = np.zeros((k + 1, self.c.shape[1]), dtype=self.c.dtype)
+        c[:-1] = self.c / np.arange(k, 0, -1.0)[:, None]
+        # each piece's constant is the last piece's value at its right end,
+        # summed from the constant up: one sequential running sum over the
+        # terms c[j, i] h_i**(k - j), piece by piece
+        h = np.diff(self.x)[:-1]
+        terms = np.empty((len(h), k), dtype=c.dtype)
+        z = h
+        for j in range(k):
+            terms[:, j] = c[k - 1 - j, :-1] * z
+            z = z * h
+        run = np.add.accumulate(np.concatenate([[c[-1, 0]], terms.ravel()]))
+        c[-1, 1:] = run[k::k]
+        return Spline(c, self.x)
 
 
 class InitialData:
@@ -45,8 +145,8 @@ class InitialData:
             x = np.concatenate([x, [1.0]])
             u0 = np.concatenate([u0, [0.0]])
             u1 = np.concatenate([u1, [0.0]])
-        s0 = CubicSpline(x, u0)
-        s1 = CubicSpline(x, u1)
+        s0 = Spline.interpolate(x, u0)
+        s1 = Spline.interpolate(x, u1)
         return cls(s0, s1, s0.derivative(), label=label)
 
     def __repr__(self):
@@ -112,15 +212,23 @@ def zero_data():
 
 
 def combine(data_list, weights):
-    """Linear combination sum_j w_j * data_j."""
+    """Linear combination sum_j w_j * data_j. An evaluator of the sum
+    whose parts include piecewise ones (those exposing breakpoints .x)
+    carries the union of their breakpoints as its own .x, so quadratures
+    still split at the knots of spline data."""
     ws = [float(w) for w in weights]
 
     def mk(attr):
+        parts = [getattr(d, attr) for d in data_list]
+
         def f(x):
             acc = np.zeros_like(np.asarray(x, dtype=float))
-            for w, d in zip(ws, data_list):
-                acc = acc + w * getattr(d, attr)(x)
+            for w, part in zip(ws, parts):
+                acc = acc + w * part(x)
             return acc
+        knots = [part.x for part in parts if hasattr(part, "x")]
+        if knots:
+            f.x = np.unique(np.concatenate(knots))
         return f
 
     return InitialData(u0=mk("u0"), u1=mk("u1"), du0=mk("du0"),

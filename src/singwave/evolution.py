@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PPoly
 from scipy.linalg import lapack
 
 from .data import combine, mode_data
@@ -199,11 +198,12 @@ def _legendre_rule():
 
 def _gauss_legendre(*fns):
     """Nodes and weights of the composite 16-point Gauss-Legendre rule on
-    [0, 1]: _PANELS uniform panels, split at the breakpoints of every PPoly
-    among fns, so that a spline's kinks fall on panel edges."""
+    [0, 1]: _PANELS uniform panels, split at the breakpoints .x of every
+    piecewise evaluator among fns (a data.Spline, a scipy PPoly, a sum from
+    data.combine), so that a spline's kinks fall on panel edges."""
     breaks = np.linspace(0.0, 1.0, _PANELS + 1)
     for f in fns:
-        if isinstance(f, PPoly):
+        if hasattr(f, "x"):
             breaks = np.union1d(breaks, np.clip(f.x, 0.0, 1.0))
     nodes, weights = _legendre_rule()
     half = 0.5 * np.diff(breaks)[:, None]

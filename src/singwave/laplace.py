@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from .data import Spline
 from .specfun import exp_integral_e1, exp_integral_e1_array, laguerre, p_poly
 from .spectrum import laguerre_poles, standing_mode
 
@@ -170,8 +170,7 @@ def green_g2(n, x, y, tau):
 
 
 def _cumulative(nodes, values):
-    spline = CubicSpline(nodes, values)
-    return spline.antiderivative()
+    return Spline.interpolate(nodes, values).antiderivative()
 
 
 def solve_laplace_U(data, n, tau, x_grid):

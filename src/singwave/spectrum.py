@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.optimize
-import scipy.special
+from scipy.linalg import eigvals_banded
 
 from .specfun import (_PHASE_RTOL, ConvergenceError, kummer_m,
                       kummer_m_array, kummer_m_dz, laguerre)
@@ -30,6 +29,11 @@ _NEWTON_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _BOUNDARY_TOL = 1e-9
 _DEDUP_TOL = 1e-8
+# Brent's method on the real-axis brackets: rtol at scipy brentq's floor of
+# 4 eps, and brentq's iteration limit
+_BRENT_XTOL = 1e-15
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAX_ITER = 100
 # below this many new points per call, kummer_m one by one is faster than
 # kummer_m_array, whose lockstep series has a fixed cost per term block
 _ARRAY_MIN_POINTS = 24
@@ -299,6 +303,19 @@ def asymptotic_eigenvalue(problem, k, branch):
             - 0.5 * cmath.log(ratio * power))
 
 
+def _laguerre1_forward(n, x):
+    """L_n^(1)(x), n >= 1, by the forward recurrence of scipy's
+    eval_genlaguerre for integer n (the same operations in the same order)."""
+    if n == 1:
+        return -x + 1.0 + 1
+    d = -x / 2.0
+    p = d + 1
+    for j in range(1, n):
+        d = -x / (j + 2.0) * p + (j / (j + 2.0)) * d
+        p = d + p
+    return (n + 1.0) * p
+
+
 @functools.lru_cache(maxsize=None)
 def laguerre_poles(n):
     """The spectrum at alpha = n + 1 as a tuple of floats, ascending: the
@@ -309,7 +326,17 @@ def laguerre_poles(n):
         raise ValueError("n must be non-negative")
     if n == 0:
         return ()
-    x = scipy.special.roots_genlaguerre(n, 1.0)[0]
+    # Golub & Welsch (1969): the nodes are the eigenvalues of the Jacobi
+    # matrix of the L^(1) recurrence, then one Newton step as scipy's
+    # roots_genlaguerre takes it, so the nodes agree with it bit for bit
+    k = np.arange(n, dtype=float)
+    band = np.zeros((2, n))
+    band[0, 1:] = -np.sqrt(k[1:] * (k[1:] + 1.0))
+    band[1] = 2 * k + 1.0 + 1
+    x = eigvals_banded(band, overwrite_a_band=True)
+    if n > 1:
+        y = _laguerre1_forward(n, x)
+        x -= y / ((n * y - (n + 1.0) * _laguerre1_forward(n - 1, x)) / x)
     # d/dx L_n^(1)(x) = -L_{n-1}^(2)(x)
     for _ in range(3):
         x = x + laguerre(n, 1, x) / laguerre(n - 1, 2, x)
@@ -354,6 +381,55 @@ def standing_mode(n, k):
     return StandingMode(mu, f, df, f_over_x)
 
 
+def _brent_root(f, xa, xb):
+    """A zero of f on [xa, xb], where f changes sign: Brent's method (Brent
+    1973, Algorithms for Minimization without Derivatives, ch. 4) in the
+    steps of scipy.optimize.brentq, whose roots it reproduces bit for bit."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise SpectrumError(f"no sign change of the characteristic function "
+                            f"on [{xa}, {xb}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise SpectrumError(f"real-axis root did not converge after "
+                        f"{_BRENT_MAX_ITER} iterations, value is {xcur!r}")
+
+
 def _real_eigenvalues_generic(problem):
     """Negative real eigenvalues for non-integer alpha by sign-change scan
     of the (real-valued) characteristic function on the negative axis."""
@@ -372,9 +448,7 @@ def _real_eigenvalues_generic(problem):
         if vals[i] == 0.0:
             roots.append(zs[i])
         elif vals[i] * vals[i + 1] < 0:
-            # rtol at brentq's floor of 4 eps
-            roots.append(scipy.optimize.brentq(g, zs[i], zs[i + 1],
-                                               xtol=1e-15, rtol=8.9e-16))
+            roots.append(_brent_root(g, float(zs[i]), float(zs[i + 1])))
     mus = sorted(-z / 2.0 for z in roots)
     if len(mus) != expected:
         raise SpectrumError(

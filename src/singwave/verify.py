@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
-from .data import sine_data
+from .data import Spline, sine_data
 from .evolution import _gauss_legendre, projection_condition
 from .laplace import LaplaceRHS
 from .spectrum import laguerre_poles, standing_mode
@@ -34,10 +33,11 @@ class ResolventProbe:
 def hardy_check(psi, dpsi=None):
     """(lhs, rhs) of int |psi|^2/x^2 <= 4 int |psi'|^2 for psi(0)=psi(1)=0.
 
-    psi may be a piecewise polynomial (a scipy PPoly such as a CubicSpline),
-    a callable with optional derivative, or a grid vector on a uniform
-    interior grid. Grid vectors, and callables given without a derivative,
-    are replaced by their cubic spline.
+    psi may be a piecewise polynomial (anything exposing breakpoints .x and
+    derivative(): a data.Spline, a scipy PPoly), a callable with optional
+    derivative, or a grid vector on a uniform interior grid. Grid vectors,
+    and callables given without a derivative, are replaced by their cubic
+    spline.
 
     Both integrals use the composite 16-point Gauss-Legendre rule of
     evolution._gauss_legendre. For a spline the panels are its own pieces
@@ -49,14 +49,15 @@ def hardy_check(psi, dpsi=None):
     rule's relative error is below 1e-20. No node sits at x = 0. A plain
     callable, evaluated one scalar at a time, uses the 64 uniform panels.
     """
+    piecewise = lambda f: hasattr(f, "x") and hasattr(f, "derivative")
     if not callable(psi):
         vals = np.asarray(psi, dtype=float)
         x = np.linspace(0.0, 1.0, len(vals) + 2)
-        psi = CubicSpline(x, np.concatenate([[0.0], vals, [0.0]]))
-    elif dpsi is None and not isinstance(psi, PPoly):
+        psi = Spline.interpolate(x, np.concatenate([[0.0], vals, [0.0]]))
+    elif dpsi is None and not piecewise(psi):
         spline_x = np.linspace(0.0, 1.0, 2001)
-        psi = CubicSpline(spline_x, psi(spline_x))
-    if isinstance(psi, PPoly):
+        psi = Spline.interpolate(spline_x, psi(spline_x))
+    if piecewise(psi):
         if dpsi is None:
             dpsi = psi.derivative()
     else:
@@ -75,7 +76,7 @@ def random_witness(rng, n_knots=12):
     cu = rng.standard_normal(n_knots)
     cu[0] = cu[-1] = 0.0
     cv = rng.standard_normal(n_knots)
-    return CubicSpline(knots, cu), CubicSpline(knots, cv)
+    return Spline.interpolate(knots, cu), Spline.interpolate(knots, cv)
 
 
 def resolvent_bound_check(alpha, sigma, eta, trials=200, N=1000, seed=0):

@@ -440,12 +440,54 @@ class TestDeterminism:
         assert a == b
 
 
-def test_import_leaves_out_scipy_integrate():
-    # only laplace's singular 1/s integral needs scipy.integrate, and it
-    # imports it on first use
+# scipy packages the package imports only in tests (and scipy.integrate only
+# for laplace's singular 1/s integral at Re tau <= 0, on first use)
+_TEST_ONLY_SCIPY = ("scipy.interpolate", "scipy.optimize", "scipy.special",
+                    "scipy.integrate")
+
+
+def _run_python(code):
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys, singwave.cli; "
-            "sys.exit('scipy.integrate' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code],
-                          env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_import_leaves_out_scipy_integrate():
+    # importing the CLI loads numpy and scipy.linalg only; the process
+    # pool of sweep --jobs is imported when a sweep starts one
+    code = ("import sys, singwave.cli; "
+            f"print([m for m in {_TEST_ONLY_SCIPY!r} "
+            "+ ('concurrent.futures.process',) if m in sys.modules])")
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_leave_out_test_only_scipy(tmp_path):
+    # every command kind of the benchmark's workloads, in one interpreter
+    out = str(tmp_path / "out")
+    runs = [
+        ["spectrum", "--alpha", "2.3", "--kmax", "1"],
+        ["spectrum", "--alpha", "3"],
+        ["sweep", "--alpha-min", "1.3", "--alpha-max", "1.35", "--step",
+         "0.05", "--kmax", "1"],
+        ["simulate", "--alpha", "2", "--preset", "bump", "--project",
+         "--T", "0.01", "--dt", "0.005", "--N", "50"],
+        ["extinction", "--alpha", "2", "--preset", "sine:1", "--N", "40",
+         "--dt", "0.01"],
+        ["verify", "--check", "all", "--trials", "2", "--nmax", "3"],
+    ]
+    code = f"""
+import sys
+import numpy as np
+from singwave import cli, data, laplace
+for argv in {runs!r}:
+    assert cli.main(argv + ["--out", {out!r}]) == 0, argv
+laplace.solve_laplace_U(data.sine_data(1), 2, 1.0 + 0.5j,
+                        np.linspace(0.1, 0.9, 9))
+print([m for m in {_TEST_ONLY_SCIPY!r} if m in sys.modules])
+"""
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -138,6 +138,93 @@ class TestRealAxisScan:
                 assert len(mus) == math.ceil(alpha - 1.0)
 
 
+# the scan's alpha list: below, across and near integers, and up to 6.2
+_SCAN_ALPHAS = (1.45, 1.972, 2.00001, 2.022, 2.3, 2.7, 3.0000009938, 3.7,
+                4.5, 5.3, 6.2)
+
+
+def _scan_brackets(alpha):
+    """The sign-change brackets of _real_eigenvalues_generic's scan."""
+    dist = max(min(alpha - math.floor(alpha), math.ceil(alpha) - alpha),
+               1e-16)
+    z_hi = 4.0 * alpha + 16.0 + 3.0 * max(0.0, -math.log(dist))
+    zs = np.linspace(1e-6, z_hi, 4000)
+    vals = spectrum.kummer_m_array(1.0 - alpha, 2.0, zs).real
+    return [(zs[i], zs[i + 1]) for i in range(len(zs) - 1)
+            if vals[i] * vals[i + 1] < 0]
+
+
+def _mp_laguerre(n, a, x):
+    # three-term recurrence in mpmath's working precision
+    p0, p1 = 1, 1 + a - x
+    if n == 0:
+        return p0
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1 + a - x) * p1 - (k + a) * p0) / (k + 1)
+    return p1
+
+
+class TestScipyOracles:
+    """The pure-Python Brent iteration and the Golub-Welsch poles against
+    the scipy routines they replace, bit for bit."""
+
+    def test_brent_root_matches_brentq(self):
+        from scipy.optimize import brentq
+
+        n_brackets = 0
+        for alpha in _SCAN_ALPHAS:
+            calls = [0, 0]
+
+            def g(z, j):
+                calls[j] += 1
+                return kummer_m(1.0 - alpha, 2.0, complex(z)).real
+
+            for lo, hi in _scan_brackets(alpha):
+                ref = brentq(g, lo, hi, args=(0,), xtol=1e-15,
+                             rtol=8.9e-16)
+                got = spectrum._brent_root(lambda z: g(z, 1), float(lo),
+                                           float(hi))
+                assert type(got) is float
+                assert got == ref, (alpha, lo)
+                n_brackets += 1
+            assert calls[0] == calls[1], alpha
+        assert n_brackets == 31
+
+    def test_brent_root_errors(self):
+        with pytest.raises(spectrum.SpectrumError, match="no sign change"):
+            spectrum._brent_root(lambda z: z * z + 1.0, -1.0, 1.0)
+        with pytest.raises(spectrum.SpectrumError, match="100 iterations"):
+            spectrum._brent_root(lambda z: math.copysign(1.0, z), -1e300,
+                                 2e300)
+
+    def test_laguerre_poles_match_roots_genlaguerre(self):
+        from scipy.special import roots_genlaguerre
+
+        from singwave.specfun import laguerre
+
+        for n in range(1, 61):
+            x = roots_genlaguerre(n, 1.0)[0]
+            for _ in range(3):
+                x = x + laguerre(n, 1, x) / laguerre(n - 1, 2, x)
+            ref = tuple(float(mu) for mu in np.sort(-x / 2.0))
+            assert laguerre_poles(n) == ref, n
+
+    def test_laguerre_poles_match_mpmath(self):
+        # relative error <= 4e-14 (n = 1..60 all measured <= 2.8e-14,
+        # the worst at the smallest |mu| of n = 58)
+        import mpmath as mp
+
+        with mp.workdps(30):
+            for n in [*range(1, 13), 20, 40, 58, 60]:
+                for mu in laguerre_poles(n):
+                    x = mp.mpf(-2.0 * mu)
+                    for _ in range(3):
+                        x += _mp_laguerre(n, 1, x) / _mp_laguerre(n - 1, 2,
+                                                                  x)
+                    ref = -x / 2
+                    assert abs((mu - ref) / ref) <= 4e-14, (n, mu)
+
+
 class TestCharValues:
     def test_each_lambda_evaluated_once(self, monkeypatch):
         # below alpha = 1 there is no real-axis scan, so every evaluation

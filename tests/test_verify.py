@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 from scipy.interpolate import CubicSpline
 
-from singwave.data import bump_data, sine_data, zero_data
+from singwave.data import Spline, bump_data, sine_data, zero_data
 from singwave.verify import (gupta_bound_check, hardy_check,
                              lemma_condition_identity, random_witness,
                              resolvent_bound_check, run_all)
@@ -92,6 +92,15 @@ class TestHardy:
             ref = _scalar_quad_hardy(su, su.derivative())
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-10 * abs(r)
+
+    def test_scipy_ppoly_is_piecewise_too(self):
+        # a caller's scipy spline is split at its own knots, as the
+        # package's spline is
+        rng = np.random.default_rng(8)
+        knots = np.linspace(0.0, 1.0, 12)
+        vals = np.concatenate([[0.0], rng.standard_normal(10), [0.0]])
+        ref = hardy_check(Spline.interpolate(knots, vals))
+        assert hardy_check(CubicSpline(knots, vals)) == ref
 
     def test_callable_without_derivative(self):
         lhs, rhs = hardy_check(lambda x: np.sin(np.pi * x))
