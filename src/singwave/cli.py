@@ -221,30 +221,18 @@ def cmd_sweep(args):
         # the pool's import costs ~25 ms; serial runs never pay it
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [list(c) for c in np.array_split(grid, jobs)]
+        n = len(grid)
+        chunks = [grid[i * n // jobs:(i + 1) * n // jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_sweep_chunk,
-                                  [(c, kmax) for c in chunks]))
-        points = []
-        dropped = [d for part in parts for d in part.dropped]
-        offset = 0
-        for part in parts:  # chunk order, not completion order
-            local_max = -1
-            for p in part:
-                points.append(p.__class__(p.alpha, p.trajectory_id + offset,
-                                          p.value, p.branch, p.n_real,
-                                          p.ambiguous))
-                local_max = max(local_max, p.trajectory_id)
-            offset += local_max + 1
+            # chunk order, not completion order
+            parts = list(pool.map(_sweep_chunk, [(c, kmax) for c in chunks]))
     else:
-        points = alpha_sweep(grid, kmax)
-        dropped = points.dropped
+        parts = [alpha_sweep(grid, kmax)]
     rows = [{"alpha": p.alpha, "trajectory_id": p.trajectory_id,
              "re": p.value.real, "im": p.value.imag, "branch": p.branch,
-             "n_real": p.n_real} for p in points]
-    warnings = [f"ambiguous pairing at alpha={p.alpha}" for p in points
-                if p.ambiguous]
-    warnings += [f"dropped alpha={alpha}: {cause}" for alpha, cause in dropped]
+             "n_real": p.n_real} for part in parts for p in part]
+    warnings = [f"dropped alpha={alpha}: {cause}"
+                for part in parts for alpha, cause in part.dropped]
     md = _metadata(cfg, warnings=warnings, n_points=len(grid))
     _emit(rows, ["alpha", "trajectory_id", "re", "im", "branch", "n_real"],
           md, args.format, args.out)
@@ -403,7 +391,13 @@ def build_parser():
     _add_common(sp)
     sp.set_defaults(func=cmd_spectrum)
 
-    sw = subs.add_parser("sweep", help="eigenvalue trajectories over alpha")
+    sw = subs.add_parser(
+        "sweep", help="eigenvalue trajectories over alpha",
+        description="Eigenvalues over an alpha grid. trajectory_id names "
+                    "each row from its own alpha: real:<r> is the r-th real "
+                    "root from the right, upper:<m>:<k> and lower:<m>:<k> "
+                    "pair k with m = floor(alpha). Output is the same for "
+                    "every --jobs.")
     sw.add_argument("--alpha-min", dest="alpha_min", type=float)
     sw.add_argument("--alpha-max", dest="alpha_max", type=float)
     sw.add_argument("--step", type=float)

@@ -502,6 +502,18 @@ def _locate_in_rect(problem, rect, known, counted, depth=0):
     return out
 
 
+def _absorb(kept, lam, res, src):
+    """Add zero lam, reflected into the upper half plane, to kept (tuples
+    (lam, res, src) in ascending Im) unless it converged onto the real
+    axis or is already there."""
+    if lam.imag < 0:
+        lam = lam.conjugate()
+    if lam.imag > _DEDUP_TOL and not any(
+            abs(lam - o[0]) < _DEDUP_TOL * (1 + abs(lam)) for o in kept):
+        kept.append((lam, res, src))
+        kept.sort(key=lambda t: t[0].imag)
+
+
 def _recover_missed(problem, kept, n_pairs, max_rounds=3):
     """Covering-rectangle audit of the upper half plane up to the highest
     pair of interest; missed zeros are located by subdivision and added."""
@@ -521,17 +533,10 @@ def _recover_missed(problem, kept, n_pairs, max_rounds=3):
         if not new:
             raise AuditError(rect, counted, len(inside))
         for lam, res in new:
-            if lam.imag < 0:
-                lam = lam.conjugate()
-            if lam.imag > _DEDUP_TOL and not any(
-                    abs(lam - o[0]) < _DEDUP_TOL * (1 + abs(lam))
-                    for o in kept):
-                kept.append((lam, res, "scan"))
-        kept.sort(key=lambda t: t[0].imag)
+            _absorb(kept, lam, res, "scan")
 
 
-def find_eigenvalues(problem, k_max, search_radius=None, audit=True,
-                     extra_seeds=()):
+def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
     """All eigenvalues inside the disc of radius search_radius plus the
     first k_max conjugate pairs (non-integer alpha), or the full finite
     spectrum (integer alpha). Audited against the argument principle."""
@@ -561,14 +566,6 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True,
 
     kept = []  # (lam, res, src), upper half plane, ascending Im
 
-    def _absorb(lam, res, src):
-        if lam.imag <= _DEDUP_TOL:  # converged onto the real axis
-            return
-        if any(abs(lam - o[0]) < _DEDUP_TOL * (1 + abs(lam)) for o in kept):
-            return
-        kept.append((lam, res, src))
-        kept.sort(key=lambda t: t[0].imag)
-
     # seeds may collide on the same zero for small k; keep going until the
     # requested number of distinct pairs is in hand. At (near-)integer alpha
     # under force_generic there are no non-real eigenvalues and no seeds.
@@ -581,20 +578,7 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True,
             lam, res = _newton(problem, seed)
         except NewtonError:
             continue
-        if lam.imag < 0:
-            lam = lam.conjugate()
-        _absorb(lam, res, "asymptotic")
-    for seed in extra_seeds:
-        seed = complex(seed)
-        if seed.imag < 0:
-            seed = seed.conjugate()
-        try:
-            lam, res = _newton(problem, seed)
-        except NewtonError:
-            continue
-        if lam.imag < 0:
-            lam = lam.conjugate()
-        _absorb(lam, res, "scan")
+        _absorb(kept, lam, res, "asymptotic")
 
     if kept:
         _recover_missed(problem, kept, n_pairs)
@@ -643,11 +627,10 @@ def spectral_abscissa(evs):
 @dataclass(frozen=True)
 class SweepPoint:
     alpha: float
-    trajectory_id: int
+    trajectory_id: str
     value: complex
     branch: str
     n_real: int
-    ambiguous: bool = False
 
 
 class SweepPoints(list):
@@ -659,58 +642,34 @@ class SweepPoints(list):
         self.dropped = []
 
 
-def alpha_sweep(alphas, k_max, audit=False):
+def alpha_sweep(alphas, k_max):
     """Eigenvalue trajectories over an ascending list of alpha values, as
-    SweepPoints.
+    SweepPoints in find_eigenvalues order within each alpha.
 
-    Continuity-based pairing: nearest neighbor in the complex plane against
-    the previous alpha, with continuation Newton seeds. Integer alphas use
-    the Laguerre fast path (trajectory matching still applies). An alpha
-    whose spectrum raises SpectrumError is recorded in .dropped, and the
-    next alpha starts new trajectories.
+    Each alpha is solved on its own (unaudited) and each eigenvalue named
+    from that alpha's spectrum alone, so that any split of the list into
+    consecutive chunks gives the same points. A real root is "real:<r>",
+    r its rank from the right (1 nearest 0): real roots carry on across
+    each integer, and a new one arrives from -infinity at the highest
+    rank. Pair k is "upper:<m>:<k>" or "lower:<m>:<k>" with m = floor(alpha),
+    since every pair dives to -infinity at each integer. An alpha whose
+    spectrum raises SpectrumError is recorded in .dropped and has no points.
     """
     alphas = list(alphas)
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly ascending")
     points = SweepPoints()
-    prev = {}  # trajectory_id -> (value, branch)
-    next_id = 0
     for alpha in alphas:
-        problem = SpectralProblem(alpha)
-        seeds = [v for v, b in prev.values() if b == "upper"]
         try:
-            evs = find_eigenvalues(problem, k_max, audit=audit,
-                                   extra_seeds=seeds)
+            evs = find_eigenvalues(SpectralProblem(alpha), k_max, audit=False)
         except SpectrumError as exc:
             points.dropped.append((alpha, f"{type(exc).__name__}: {exc}"))
-            prev = {}
             continue
         n_real = sum(1 for ev in evs if ev.branch == "real")
-        cur = {}
-        used = set()
-        assigned = []
         for ev in evs:
-            best_id, best_d = None, math.inf
-            for tid, (v, b) in prev.items():
-                if tid in used or b != ev.branch:
-                    continue
-                d = abs(ev.value - v)
-                if d < best_d:
-                    best_id, best_d = tid, d
-            ambiguous = False
-            if best_id is not None and best_d < 2.0 + 0.5 * abs(ev.value):
-                others = [abs(ev.value - v) for tid, (v, b) in prev.items()
-                          if tid not in used and b == ev.branch
-                          and tid != best_id]
-                ambiguous = any(abs(d - best_d) < 1e-6 for d in others)
-                tid = best_id
-                used.add(tid)
-            else:
-                tid = next_id
-                next_id += 1
-            cur[tid] = (ev.value, ev.branch)
-            assigned.append(SweepPoint(alpha, tid, ev.value, ev.branch,
-                                       n_real, ambiguous))
-        points.extend(sorted(assigned, key=lambda p: p.trajectory_id))
-        prev = cur
+            # find_eigenvalues numbers the real roots from the left
+            label = (f"real:{n_real + 1 - ev.index}" if ev.branch == "real"
+                     else f"{ev.branch}:{math.floor(alpha)}:{ev.index}")
+            points.append(SweepPoint(alpha, label, ev.value, ev.branch,
+                                     n_real))
     return points

@@ -439,6 +439,16 @@ class TestDeterminism:
                     "--format", "json")
         assert a == b
 
+    def test_sweep_jobs_match_serial(self, capsys):
+        # a grid across alpha = 2 and 3 that the pool splits in two
+        argv = ("sweep", "--alpha-min", "1.9", "--alpha-max", "3.1",
+                "--step", "0.1", "--kmax", "1", "--refine-integers", "1")
+        for fmt in ("csv", "json"):
+            serial = run_cli(capsys, *argv, "--format", fmt, "--jobs", "1")
+            pooled = run_cli(capsys, *argv, "--format", fmt, "--jobs", "2")
+            assert serial[0] == 0
+            assert pooled == serial
+
 
 # scipy packages the package imports only in tests (and scipy.integrate only
 # for laplace's singular 1/s integral at Re tau <= 0, on first use)

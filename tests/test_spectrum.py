@@ -531,12 +531,34 @@ class TestAlphaSweep:
         by_tid = {}
         for p in pts:
             by_tid.setdefault(p.trajectory_id, []).append(p)
-        # at least one trajectory spans all three alphas with small steps
+        # every trajectory at the first alpha spans all three
+        first = {p.trajectory_id for p in pts if p.alpha == 1.4}
+        assert first
+        for tid in first:
+            assert sorted(p.alpha for p in by_tid[tid]) == alphas
+        # with small steps
         spans = [t for t in by_tid.values() if len(t) == 3]
-        assert spans
         for t in spans:
             vals = [p.value for p in sorted(t, key=lambda p: p.alpha)]
             assert all(abs(b - a) < 1.5 for a, b in zip(vals, vals[1:]))
+
+    def test_labels_across_integers(self):
+        pts = alpha_sweep([2 - 1e-5, 2 + 1e-5, 3 - 1e-5, 3 + 1e-5], 1)
+        label = {(p.alpha, p.trajectory_id): p.value for p in pts}
+        # the real root at -1 carries on across alpha = 2 under one name
+        for a in (2 - 1e-5, 2 + 1e-5):
+            assert label[a, "real:1"] == pytest.approx(-1.0, abs=1e-3)
+        # and a new one arrives from -infinity at the highest rank
+        assert label[2 + 1e-5, "real:2"].real < -10.0
+        # at alpha = 3 both carry on, equal to the Laguerre roots
+        for a in (3 - 1e-5, 3 + 1e-5):
+            assert label[a, "real:1"] == pytest.approx(-0.6340, abs=1e-3)
+            assert label[a, "real:2"] == pytest.approx(-2.3660, abs=1e-3)
+        # pairs are named by floor(alpha): each dives to -infinity at 2
+        pairs = {(p.alpha, p.trajectory_id) for p in pts
+                 if p.branch != "real" and p.alpha < 2.5}
+        assert pairs == {(2 - 1e-5, "upper:1:1"), (2 - 1e-5, "lower:1:1"),
+                         (2 + 1e-5, "upper:2:1"), (2 + 1e-5, "lower:2:1")}
 
     def test_dropped_point_recorded(self, monkeypatch):
         find = spectrum.find_eigenvalues
@@ -551,6 +573,8 @@ class TestAlphaSweep:
         assert pts.dropped == [
             (1.3, "NewtonError: Newton iteration stagnated (seed 0.5j)")]
         assert {p.alpha for p in pts} == {1.2, 1.4}
+        # the points at 1.4 do not depend on the alphas before it
+        assert [p for p in pts if p.alpha == 1.4] == alpha_sweep([1.4], 1)
         # pool workers return the record with the points
         assert pickle.loads(pickle.dumps(pts)).dropped == pts.dropped
         assert alpha_sweep([1.2, 1.4], 1).dropped == []
