@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import lockstep
+
 EULER_GAMMA = 0.57721566490153286061
 
 # Series truncation: stop when |term| < _SERIES_RTOL * |sum| for
@@ -32,6 +34,9 @@ _KUMMER_TRANSFORM_RE = -1.0
 
 # |z| at and beyond which the large-argument expansion reaches ~1e-13.
 _ASYMPTOTIC_MIN_ABS = 34.0
+# at the phase grade the expansion's sums stop at a term below this times
+# rtol |sum|
+_ASYM_PHASE_STOP = 1e-3
 
 # Cancellation budget: accept the double-precision series only if the
 # estimated rounding error stays below this relative level. The value grade,
@@ -41,10 +46,13 @@ _ASYMPTOTIC_MIN_ABS = 34.0
 _CANCEL_RTOL = 1e-13
 _PHASE_RTOL = 1e-8
 
-# kummer_m_array's lockstep series: elements per call and terms per block
-# (a block holds chunk x block sums)
+# kummer_m_array's lockstep regimes: sums per call (a block holds chunk x
+# lockstep.BLOCK sums)
 _LOCKSTEP_CHUNK = 1024
-_LOCKSTEP_BLOCK = 16
+# below this many elements the scalar expansion one by one costs less than
+# the lockstep one, whose blocks have a fixed cost (break-even ~70 at the
+# phase grade)
+_ASYM_LOCKSTEP_MIN = 64
 
 _E1_SWITCH_ABS = 2.0
 _E1_MAX_ITER = 500
@@ -143,8 +151,9 @@ def _kummer_series_highprec(a, b, z):
                                z, None) from exc
 
 
-def _asym_sum(p, q, w):
-    """Optimally truncated sum_s (p)_s (q)_s / (s! w^s).
+def _asym_sum(p, q, w, tol):
+    """Optimally truncated sum_s (p)_s (q)_s / (s! w^s), stopping early at
+    a term below tol |sum|.
 
     The truncation point is the globally smallest term: a Pochhammer factor
     passing near zero makes single terms dip and recover, so a local growth
@@ -155,28 +164,32 @@ def _asym_sum(p, q, w):
     best_acc = acc
     best_mag = abs(term)
     for s in range(int(abs(w)) + 40):
-        term = term * ((p + s) * (q + s) / (s + 1.0)) / w
+        # the factor as c + 0j, as lockstep.asym_sum forms it
+        term = term * ((p + s) * (q + s) / (s + 1.0) + 0j) / w
         acc += term
         mag = abs(term)
         if mag < best_mag:
             best_mag = mag
             best_acc = acc
-            if mag < _SERIES_RTOL * abs(acc):
+            if mag < tol * abs(acc):
                 break
         elif mag > 1e6 * best_mag:
             break  # safely inside the divergent tail
     return best_acc, best_mag
 
 
-def _kummer_asymptotic(a, b, z):
-    """Large-|z| expansion of M; upper sign for Im z >= 0.
+def _asym_sum_tol(rtol):
+    """Where the expansion's sums stop: at _SERIES_RTOL for values, at
+    _ASYM_PHASE_STOP rtol at the phase grade, whose error estimate needs no
+    more."""
+    return _ASYM_PHASE_STOP * rtol if rtol >= _PHASE_RTOL else _SERIES_RTOL
 
-    Returns (value, absolute error estimate) where the estimate is the sum
-    of the optimally truncated tails scaled by their prefactors.
-    """
+
+def _asym_value(a, b, z, s1, tail1, s2, tail2):
+    """M from the sums of the large-|z| expansion, upper sign for
+    Im z >= 0: (value, absolute error estimate), the estimate being the
+    optimally truncated tails scaled by their prefactors."""
     eps = 1.0 if z.imag >= 0 else -1.0
-    s1, tail1 = _asym_sum(a, a - b + 1.0, -z)
-    s2, tail2 = _asym_sum(b - a, 1.0 - a, z)
     pref_alg = cmath.exp(1j * math.pi * a * eps) * z ** (-a) * _recip_gamma(b - a)
     pref_exp = cmath.exp(z) * z ** (a - b) * _recip_gamma(a)
     value = math.gamma(b) * (pref_alg * s1 + pref_exp * s2)
@@ -184,29 +197,55 @@ def _kummer_asymptotic(a, b, z):
     return value, err
 
 
-def _kummer_after_series(a, b, z, rtol):
-    """The stage of kummer_m after a double series that failed the
-    cancellation test: the large-argument expansion where its error
-    estimate is within rtol, else mpmath. Shared by kummer_m and
-    kummer_m_array."""
-    if abs(z) >= _ASYMPTOTIC_MIN_ABS:
-        asym, err = _kummer_asymptotic(a, b, z)
-        if err <= rtol * max(abs(asym), 1e-300):
-            return asym
-    return _kummer_series_highprec(a, b, z)
+def _kummer_asymptotic(a, b, z, rtol):
+    """Large-|z| expansion of M at the sum tolerance of rtol's grade:
+    (value, absolute error estimate)."""
+    tol = _asym_sum_tol(rtol)
+    s1, tail1 = _asym_sum(a, a - b + 1.0, -z, tol)
+    s2, tail2 = _asym_sum(b - a, 1.0 - a, z, tol)
+    return _asym_value(a, b, z, s1, tail1, s2, tail2)
+
+
+def _near(rtol, abs_z, re_z):
+    """Whether z lies short of the large-argument band of rtol's grade,
+    from |z| and Re z (floats or arrays): |z| < _ASYMPTOTIC_MIN_ABS, or at
+    the phase grade also |z| - Re z <= ln(rtol / 2.3e-16). The series'
+    largest partial sum is about e^|z| against |M| ~ e^Re z, so it loses
+    about |z| - Re z nats to cancellation: beyond the bound it cannot pass
+    the phase grade, and next to the positive real axis it passes at less
+    cost than an expansion that fails there for large |b - a| (alpha near
+    an integer). Written with the comparisons the lockstep series already
+    makes: each numpy routine a pass touches adds its code to the peak
+    RSS."""
+    near = abs_z < _ASYMPTOTIC_MIN_ABS
+    if rtol >= _PHASE_RTOL:
+        near = near | (abs_z - re_z <= math.log(rtol / 2.3e-16))
+    return near
+
+
+def _regimes(rtol, far):
+    """The double-precision regimes kummer_m tries, in order, at rtol's
+    grade, far being not _near(rtol, |z|, Re z): for values the series, then
+    the large-argument expansion only where far; at the phase grade the
+    expansion alone where far, else the series and then the expansion.
+    mpmath comes only after these."""
+    if rtol < _PHASE_RTOL:
+        return ("series", "asymptotic") if far else ("series",)
+    return ("asymptotic",) if far else ("series", "asymptotic")
 
 
 def kummer_m(a, b, z, *, rtol=_CANCEL_RTOL):
     """Kummer's confluent hypergeometric function M(a, b, z).
 
     a and b real, z complex; b must not be a non-positive integer. Relative
-    accuracy ~1e-12 for |z| <= 200 at the default rtol. The power series
-    (with the Kummer transformation for Re z < -1) handles the
-    well-conditioned regime; the large-argument expansion and a fallback
-    through mpmath.hyp1f1 cover the cancellation-dominated corner at large
-    |Im z| and near zeros of M. A double-precision result is accepted when
-    its estimated rounding error is at most rtol |M|: _CANCEL_RTOL for
-    values, _PHASE_RTOL where only the phase is read. kummer_m_array
+    accuracy ~1e-12 for |z| <= 200 at the default rtol. A double-precision
+    result is accepted when its estimated rounding error is at most
+    rtol |M|: _CANCEL_RTOL for values, _PHASE_RTOL where only the phase is
+    read. Re z < -1 goes through the Kummer transformation; then the power
+    series and the large-argument expansion are tried in the order that
+    _regimes chooses from the grade and z before anything is summed, and
+    mpmath.hyp1f1 is the fallback where neither passes (near zeros of M,
+    and in the cancellation window at large |Im z|). kummer_m_array
     evaluates the same function over a numpy array.
     """
     if b <= 0 and b == int(b):
@@ -216,73 +255,22 @@ def kummer_m(a, b, z, *, rtol=_CANCEL_RTOL):
         return cmath.exp(z) * kummer_m(b - a, b, -z, rtol=rtol)
     if a == 0.0:
         return 1.0 + 0.0j
-    value, max_mag, _terms = _kummer_series_double(a, b, z)
-    cancel = 2.3e-16 * max_mag
-    if cancel <= rtol * max(abs(value), 1e-300):
-        return value
-    return _kummer_after_series(a, b, z, rtol)
-
-
-def _lockstep_block_real(a, b, k, z, terms, accs):
-    """Terms k, k+1, ... of the series on real z into terms[1:] and the
-    sums into accs[1:], as complex arrays. With zero imaginary parts the
-    real part of each numpy product is the scalar series' one rounding; the
-    imaginary parts of the terms differ at most in the sign of a zero, so
-    those of the sums stay +0; and numpy's complex abs is |x|, as hypot is.
-    Costs half of _lockstep_block_split on the real-axis scan. Returns the
-    real and imaginary parts of the sums and the moduli of the terms and
-    of the sums."""
-    for j in range(len(terms) - 1):
-        c = (a + (k + j)) / ((b + (k + j)) * ((k + j) + 1.0))
-        np.multiply(terms[j], c, out=terms[j + 1])
-        np.multiply(terms[j + 1], z, out=terms[j + 1])
-        np.add(accs[j], terms[j + 1], out=accs[j + 1])
-    return accs.real, accs.imag, np.abs(terms[1:]), np.abs(accs)
-
-
-def _lockstep_block_split(a, b, k, z, terms, accs):
-    """Terms k, k+1, ... of the series on complex z into terms[1:] and the
-    sums into accs[1:], as float rows (re, im, re) and (re, im); returns
-    what _lockstep_block_real returns.
-
-    Each product is formed as the scalar series forms it: the float factor
-    as a complex with zero imaginary part, re = xr zr - xi zi and im = xr zi
-    + xi zr. Rows 0:2 and 1:3 of (re, im, re) pair each part with the
-    other; x - y is x + (-y) exactly, so the signs go into the second
-    factor and each complex product is two products and a sum of rows.
-    Moduli come from np.hypot, the hypot that abs() uses.
-    """
-    m = z.size
-    prod = np.empty((3, m))
-    p_lo, p_hi = prod[:2], prod[1:]
-    tmp = np.empty((2, m))
-    zero2 = np.empty((2, m))
-    zero2[0], zero2[1] = -0.0, 0.0
-    zr2, zi2 = np.stack([z.real, z.real]), np.stack([-z.imag, z.imag])
-    for j in range(len(terms) - 1):
-        c = (a + (k + j)) / ((b + (k + j)) * ((k + j) + 1.0))
-        t, t_new = terms[j], terms[j + 1]
-        # term * c
-        np.multiply(t[:2], c, out=p_lo)
-        np.multiply(t[1:], zero2, out=tmp)
-        np.add(p_lo, tmp, out=p_lo)
-        prod[2] = prod[0]
-        # ... * z
-        t_lo = t_new[:2]
-        np.multiply(p_lo, zr2, out=t_lo)
-        np.multiply(p_hi, zi2, out=tmp)
-        np.add(t_lo, tmp, out=t_lo)
-        t_new[2] = t_new[0]
-        np.add(accs[j], t_lo, out=accs[j + 1])
-    ar, ai = accs[:, 0], accs[:, 1]
-    return (ar, ai, np.hypot(terms[1:, 0], terms[1:, 1]), np.hypot(ar, ai))
+    for regime in _regimes(rtol, not _near(rtol, abs(z), z.real)):
+        if regime == "series":
+            value, max_mag, _terms = _kummer_series_double(a, b, z)
+            err = 2.3e-16 * max_mag  # the cancellation estimate
+        else:
+            value, err = _kummer_asymptotic(a, b, z, rtol)
+        if err <= rtol * max(abs(value), 1e-300):
+            return value
+    return _kummer_series_highprec(a, b, z)
 
 
 def _kummer_series_lockstep(a, b, z, rtol):
     """_kummer_series_double over a complex array z in lockstep.
 
-    The terms come from _lockstep_block_real on real z and
-    _lockstep_block_split otherwise, in blocks of _LOCKSTEP_BLOCK, so every
+    The terms come from lockstep.block_real on real z and
+    lockstep.block_split otherwise, in blocks of lockstep.BLOCK, so every
     partial sum and every modulus has the bits of the scalar series. The
     stopping rule and kummer_m's cancellation test at rtol are then read
     off each block at once. Returns the sums and the mask of those that
@@ -294,13 +282,12 @@ def _kummer_series_lockstep(a, b, z, rtol):
     ok = np.zeros(n, dtype=bool)
     idx = np.arange(n)
     zz = z
-    if z.imag.any():
-        block_terms = _lockstep_block_split
+    split = z.imag.any()
+    if split:
         term = np.zeros((3, n))  # rows re, im, re
         term[0] = term[2] = 1.0
         acc = term[:2].copy()
     else:
-        block_terms = _lockstep_block_real
         term, acc = np.ones(n, dtype=complex), np.ones(n, dtype=complex)
     max_mag = np.ones(n)
     # small flags of the last _SERIES_RUN - 1 terms
@@ -310,11 +297,17 @@ def _kummer_series_lockstep(a, b, z, rtol):
         if k == _SERIES_MAX_TERMS:
             raise ConvergenceError("Kummer series did not converge",
                                    z[idx[0]], _SERIES_MAX_TERMS)
-        block = min(_LOCKSTEP_BLOCK, _SERIES_MAX_TERMS - k)
+        block = min(lockstep.BLOCK, _SERIES_MAX_TERMS - k)
         terms = np.empty((block + 1,) + term.shape, dtype=term.dtype)
         accs = np.empty((block + 1,) + acc.shape, dtype=acc.dtype)
         terms[0], accs[0] = term, acc  # accs[j]: the sum before term j
-        ar, ai, t_mag, mags = block_terms(a, b, k, zz, terms, accs)
+        cs = [(a + i) / ((b + i) * (i + 1.0)) for i in range(k, k + block)]
+        if split:
+            ar, ai, t_mag, mags = lockstep.block_split(
+                cs, np.stack([zz.real, zz.real]),
+                np.stack([-zz.imag, zz.imag]), None, terms, accs)
+        else:
+            ar, ai, t_mag, mags = lockstep.block_real(cs, zz, terms, accs)
         small = np.concatenate(
             [recent, t_mag < _SERIES_RTOL * np.maximum(mags[1:], 1e-300)])
         # a zero term ends a terminating series before it is added
@@ -346,17 +339,42 @@ def _kummer_series_lockstep(a, b, z, rtol):
     return value, ok
 
 
+def _kummer_asymptotic_lockstep(a, b, w, rtol):
+    """_kummer_asymptotic at each element of the complex array w: the two
+    sums of every element in one lockstep.asym_sum pass, the prefactors
+    one element at a time by _asym_value, or below _ASYM_LOCKSTEP_MIN
+    elements the scalar expansion one by one. Returns the values and the
+    mask of those whose error estimate is within rtol."""
+    n = w.size
+    zs = w.tolist()
+    if n < _ASYM_LOCKSTEP_MIN:
+        pairs = [_kummer_asymptotic(a, b, zi, rtol) for zi in zs]
+    else:
+        sums, tails = lockstep.asym_sum(
+            np.repeat([a, b - a], n), np.repeat([a - b + 1.0, 1.0 - a], n),
+            np.concatenate([-w, w]), _asym_sum_tol(rtol))
+        sums, tails = sums.tolist(), tails.tolist()
+        pairs = [_asym_value(a, b, zi, sums[i], tails[i], sums[n + i],
+                             tails[n + i]) for i, zi in enumerate(zs)]
+    value = np.empty(n, dtype=complex)
+    ok = np.empty(n, dtype=bool)
+    for i, (v, err) in enumerate(pairs):
+        value[i], ok[i] = v, err <= rtol * max(abs(v), 1e-300)
+    return value, ok
+
+
 def kummer_m_array(a, b, z, *, rtol=_CANCEL_RTOL):
     """kummer_m over a numpy array of z, same shape out, bit for bit at the
     same rtol.
 
-    The double series runs in lockstep over the elements under the scalar
-    stopping rule and cancellation test, with CPython's complex rounding
-    (_kummer_series_lockstep); elements with Re z < -1 run it on -z with
-    b - a and are multiplied by cmath.exp(z) one at a time, since numpy's
-    vector exp need not match libm in the last bit. Elements that fail the
-    cancellation test go to the post-series stage of kummer_m without
-    summing the series again.
+    Elements with Re z < -1 are evaluated at -z with b - a and multiplied
+    by cmath.exp(z) one at a time, since numpy's vector exp need not match
+    libm in the last bit. Each element then tries the regimes in the order
+    _regimes gives kummer_m, each regime in lockstep over the elements that
+    reach it: the double series with CPython's complex rounding
+    (_kummer_series_lockstep) and the large-argument expansion
+    (_kummer_asymptotic_lockstep), neither summed twice for an element.
+    Only the elements that pass neither go to mpmath, one by one.
     """
     if b <= 0 and b == int(b):
         raise ValueError(f"b={b} is a non-positive integer")
@@ -364,21 +382,32 @@ def kummer_m_array(a, b, z, *, rtol=_CANCEL_RTOL):
     flat = z.ravel()
     out = np.empty_like(flat)
     transform = flat.real < _KUMMER_TRANSFORM_RE
+    # each regime's lockstep function and its elements per call; the
+    # expansion sums two series per element, each with more temporaries
+    # than the series, so a quarter chunk keeps it within the series'
+    # memory
+    runs = {"series": (_kummer_series_lockstep, _LOCKSTEP_CHUNK),
+            "asymptotic": (_kummer_asymptotic_lockstep,
+                           _LOCKSTEP_CHUNK // 4)}
     for idx, aa, sign in ((np.flatnonzero(~transform), a, 1.0),
                           (np.flatnonzero(transform), b - a, -1.0)):
         if idx.size == 0:
             continue
         w = flat[idx] if sign > 0 else -flat[idx]
-        vals = np.empty(idx.size, dtype=complex)
-        ok = np.empty(idx.size, dtype=bool)
+        vals = np.ones(idx.size, dtype=complex)  # kummer_m's 1 at a = 0
+        ok = np.full(idx.size, aa == 0.0)
         # overflow gives inf and NaN, as in the scalar series
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(0, idx.size, _LOCKSTEP_CHUNK):
-                part = slice(s, s + _LOCKSTEP_CHUNK)
-                vals[part], ok[part] = _kummer_series_lockstep(aa, b, w[part],
-                                                               rtol)
+            near = _near(rtol, np.hypot(w.real, w.imag), w.real)
+            for far, others in ((False, ~near), (True, near)):
+                for regime in _regimes(rtol, far):
+                    run, chunk = runs[regime]
+                    todo = np.flatnonzero(~(others | ok))
+                    for s in range(0, todo.size, chunk):
+                        part = todo[s:s + chunk]
+                        vals[part], ok[part] = run(aa, b, w[part], rtol)
         for i in np.flatnonzero(~ok):
-            vals[i] = _kummer_after_series(aa, b, complex(w[i]), rtol)
+            vals[i] = _kummer_series_highprec(aa, b, complex(w[i]))
         if sign < 0:
             vals = [cmath.exp(complex(zi)) * complex(v)
                     for zi, v in zip(flat[idx], vals)]

@@ -26,8 +26,17 @@ INTEGER_ALPHA_TOL = 1e-14
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
+# the longest Newton step: pi, the asymptotic spacing of the pairs in
+# Im lambda. Near alpha = 1, F is almost flat, and an uncapped first step
+# from the asymptotic seed reached |2 lambda| ~ 1e5, beyond the series'
+# term budget.
+_NEWTON_MAX_STEP = math.pi
 _RESIDUAL_TOL = 1e-9
 _BOUNDARY_TOL = 1e-9
+# count_zeros' perturbed retries after a zero on the boundary, and
+# _recover_missed's rounds of subdivision
+_BOUNDARY_RETRIES = 5
+_RECOVER_ROUNDS = 3
 _DEDUP_TOL = 1e-8
 # Brent's method on the real-axis brackets: rtol at scipy brentq's floor of
 # 4 eps, and brentq's iteration limit
@@ -191,7 +200,8 @@ def char_fn_dlam(problem, lam):
 
 
 def _newton(problem, seed):
-    """Damped Newton on the characteristic function."""
+    """Damped Newton on the characteristic function, each step at most
+    _NEWTON_MAX_STEP long."""
     lam = complex(seed)
     f = char_fn(problem, lam)
     for _ in range(_NEWTON_MAX_ITER):
@@ -199,6 +209,8 @@ def _newton(problem, seed):
         if df == 0:
             raise NewtonError(seed, "vanishing derivative")
         step = f / df
+        if abs(step) > _NEWTON_MAX_STEP:
+            step *= _NEWTON_MAX_STEP / abs(step)
         lam_new = lam - step
         f_new = char_fn(problem, lam_new)
         # halve on overshoot
@@ -263,16 +275,16 @@ def _winding_number(problem, rect):
     return int(n)
 
 
-def count_zeros(problem, rect, max_retries=5):
+def count_zeros(problem, rect):
     """Number of zeros of the characteristic function inside rect, with
     multiplicity, by the argument principle. Zeros on the boundary trigger
-    perturb-and-retry."""
+    perturb-and-retry, up to _BOUNDARY_RETRIES times."""
     r = rect
-    for attempt in range(max_retries + 1):
+    for attempt in range(_BOUNDARY_RETRIES + 1):
         try:
             return _winding_number(problem, r)
         except BoundaryZeroError:
-            if attempt == max_retries:
+            if attempt == _BOUNDARY_RETRIES:
                 raise
             bump = (attempt + 1) * 1e-3 * rect.diag()
             r = Rect(rect.re_min - bump, rect.re_max + bump * 0.618,
@@ -514,10 +526,11 @@ def _absorb(kept, lam, res, src):
         kept.sort(key=lambda t: t[0].imag)
 
 
-def _recover_missed(problem, kept, n_pairs, max_rounds=3):
+def _recover_missed(problem, kept, n_pairs):
     """Covering-rectangle audit of the upper half plane up to the highest
-    pair of interest; missed zeros are located by subdivision and added."""
-    for _ in range(max_rounds):
+    pair of interest; missed zeros are located by subdivision and added,
+    in up to _RECOVER_ROUNDS rounds."""
+    for _ in range(_RECOVER_ROUNDS):
         top_idx = min(n_pairs, len(kept)) - 1
         im_top = kept[top_idx][0].imag + 0.5 * math.pi
         delta = min(0.45 * kept[0][0].imag, 0.45)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -75,18 +76,29 @@ class TestSpectrum:
         assert path.read_text().startswith("index,branch")
 
 
-    def test_near_one_is_computation_error(self, capsys):
-        # the double series gives up at |z| ~ 1e5: a classified failure
-        code, _, err = run_cli(capsys, "spectrum", "--alpha", "1.0000001")
-        assert code == 1
-        assert "computation error" in err
+    def test_near_one_matches_mpmath(self, capsys):
+        # F is almost flat next to alpha = 1: Newton's capped step keeps
+        # the roots, which agree with 50-digit mpmath at the double alpha
+        for alpha in ("1.0000001", "0.9999999"):
+            code, out, _ = run_cli(capsys, "spectrum", "--alpha", alpha,
+                                   "--kmax", "3")
+            assert code == 0
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert len(rows) == 6 + (float(alpha) > 1.0)
+            with mpmath.workdps(50):
+                a = 1 - mpmath.mpf(float(alpha))
+                f = lambda lam: mpmath.hyp1f1(a, 2, -2 * lam)
+                for row in rows:
+                    lam = complex(float(row["re"]), float(row["im"]))
+                    ref = complex(mpmath.findroot(f, mpmath.mpc(lam)))
+                    assert abs(lam - ref) <= 1e-15 * abs(ref)
 
     def test_modulus_overflow_is_classified(self, capsys):
-        # Newton's first step from the asymptotic seed reaches |z| ~ 866,
-        # where a partial sum's modulus passes the float range
+        # an uncapped first Newton step from the asymptotic seed reached
+        # |z| ~ 866, where a partial sum's modulus passes the float range
         code, _, err = run_cli(capsys, "spectrum", "--alpha", "0.99999",
                                "--kmax", "3")
-        assert code == 0 or (code == 1 and "computation error" in err)
+        assert code == 0
         assert "Traceback" not in err
 
 

@@ -9,7 +9,7 @@ import pytest
 import scipy.integrate
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singwave import specfun
@@ -143,6 +143,22 @@ def _bits(values):
     return np.ascontiguousarray(values, dtype=complex).view(np.int64).tolist()
 
 
+# -2 lambda at the first pair of eigenvalues at alpha = 1.5: a zero of
+# M(-0.5, 2, .)
+_ZERO = -2.0 * (-3.9181422013514475 + 3.6781508490378143j)
+
+
+def _logged(name, log):
+    """A patch of specfun's function name that appends name to log at each
+    call."""
+    f = getattr(specfun, name)
+
+    def g(*args, **kwargs):
+        log.append(name)
+        return f(*args, **kwargs)
+    return mock.patch.object(specfun, name, g)
+
+
 class TestKummerMArray:
     @pytest.mark.parametrize("alpha", [0.7, 1.44, 1.97, 2.6, 3 + 1e-6,
                                        2 + 1e-11])
@@ -154,32 +170,45 @@ class TestKummerMArray:
 
     def test_mixed_complex_array(self):
         # Re z < -1 (transformation), |z| >= 34 (asymptotic band), points
-        # next to a zero of M (cancellation) and plain series points
-        lam_star = -1.2096780473893283 + 2.3209604107624543j
+        # next to a zero of M(-0.5, 2, .) (cancellation) and plain series
+        # points, at both grades
         z = np.array([[-40.0 + 3.0j, -1.5 + 0.0j, 0.3 - 0.2j, 5.0 + 1.0j],
                       [10.0 + 60.0j, 1.0 - 45.0j, 0.5 + 34.0j, 20.0 + 0.0j],
-                      [-2 * lam_star, -2 * lam_star + 1e-9, 2.0 + 0j,
-                       0.0 + 0.0j]])
+                      [_ZERO, _ZERO + 1e-9, 2.0 + 0j, 0.0 + 0.0j]])
         for a in (-0.5, 1.3, -3.0):
-            vals = kummer_m_array(a, 2.0, z)
-            assert vals.shape == z.shape
-            ref = np.array([kummer_m(a, 2.0, zi) for zi in z.ravel()])
-            assert _bits(vals.ravel()) == _bits(ref)
+            for rtol in (_CANCEL_RTOL, _PHASE_RTOL):
+                vals = kummer_m_array(a, 2.0, z, rtol=rtol)
+                assert vals.shape == z.shape
+                ref = np.array([kummer_m(a, 2.0, zi, rtol=rtol)
+                                for zi in z.ravel()])
+                assert _bits(vals.ravel()) == _bits(ref)
 
     def test_bit_identical_in_every_regime(self):
-        # derandomised complex z from four boxes, one per regime of
-        # kummer_m, at both accuracy grades; each element's regime is read
-        # off the scalar call
+        # derandomised complex z from five boxes at both accuracy grades,
+        # plus z next to a zero of M, where even the phase grade needs
+        # mpmath; each element's regime is read off the order in which the
+        # scalar call tried them. At the phase grade the large box takes
+        # the expansion first, and the band below |z| = 34 the expansion
+        # after the series; the value grade sends both cancellation boxes
+        # to mpmath.
         boxes = {"series": ((-1.0, 3.0), (-3.0, 3.0)),
                  "transform": ((-40.0, -1.01), (-40.0, 40.0)),
-                 "asymptotic": ((0.0, 20.0), (40.0, 80.0)),
-                 "mpmath": ((0.0, 8.0), (12.0, 28.0))}
+                 "large": ((0.0, 20.0), (40.0, 80.0)),
+                 "cancel": ((0.0, 8.0), (12.0, 28.0)),
+                 "below 34": ((0.0, 4.0), (26.0, 33.0))}
 
         @st.composite
         def boxed_z(draw):
             (x0, x1), (y0, y1) = boxes[draw(st.sampled_from(sorted(boxes)))]
             y = draw(st.floats(y0, y1)) * draw(st.sampled_from((1.0, -1.0)))
             return complex(draw(st.floats(x0, x1)), y)
+
+        def regime(zi, log):
+            if "_kummer_series_highprec" in log:
+                return "mpmath"
+            if log[-1:] == ["_kummer_asymptotic"]:
+                return "asymptotic" if len(log) > 1 else "asymptotic first"
+            return "transform" if zi.real < -1.0 else "series"
 
         seen = set()
 
@@ -188,34 +217,61 @@ class TestKummerMArray:
         @given(a=real_a, b=real_b, zs=st.lists(boxed_z(), min_size=1,
                                                max_size=6),
                rtol=st.sampled_from((_CANCEL_RTOL, _PHASE_RTOL)))
+        @example(a=-0.5, b=2.0, zs=[_ZERO, _ZERO + 1e-9], rtol=_PHASE_RTOL)
         def check(a, b, zs, rtol):
             z = np.array(zs)
-            series = mock.patch.object(specfun, "_kummer_series_double",
-                                       wraps=specfun._kummer_series_double)
-            with series as spy:
+            scalar_calls = []
+            # the expansion in lockstep however few the elements
+            with _logged("_kummer_series_double", scalar_calls), \
+                    _logged("_kummer_asymptotic", scalar_calls), \
+                    mock.patch.object(specfun, "_ASYM_LOCKSTEP_MIN", 1):
                 vals = kummer_m_array(a, b, z, rtol=rtol)
-            # failed elements go to the post-series stage directly
-            assert spy.call_count == 0
+            # every regime but mpmath runs in lockstep, each at most once
+            # per element
+            assert scalar_calls == []
             ref = []
             for zi in zs:
-                asym = mock.patch.object(specfun, "_kummer_asymptotic",
-                                         wraps=specfun._kummer_asymptotic)
-                high = mock.patch.object(specfun, "_kummer_series_highprec",
-                                         wraps=specfun._kummer_series_highprec)
-                with asym as asym_spy, high as high_spy:
+                log = []
+                with _logged("_kummer_series_double", log), \
+                        _logged("_kummer_asymptotic", log), \
+                        _logged("_kummer_series_highprec", log):
                     ref.append(kummer_m(a, b, zi, rtol=rtol))
-                if high_spy.call_count:
-                    seen.add(("mpmath", rtol))
-                elif asym_spy.call_count:
-                    seen.add(("asymptotic", rtol))
-                else:
-                    seen.add(("transform" if zi.real < -1.0 else "series",
-                              rtol))
+                seen.add((regime(zi, log), rtol))
             assert _bits(vals) == _bits(np.array(ref))
 
         check()
-        assert seen == {(regime, rtol) for regime in boxes
-                        for rtol in (_CANCEL_RTOL, _PHASE_RTOL)}
+        value_grade = {"series", "transform", "asymptotic", "mpmath"}
+        phase_grade = value_grade | {"asymptotic first"}
+        assert seen == ({(r, _CANCEL_RTOL) for r in value_grade}
+                        | {(r, _PHASE_RTOL) for r in phase_grade})
+
+    def test_large_arrays_across_chunks(self):
+        # enough elements in the expansion for its lockstep sums and for
+        # several chunks of them, near and beyond |z| = 34, with a next to
+        # zero and to an integer
+        rng = np.random.default_rng(11)
+        r = rng.uniform(20.0, 140.0, 700)
+        z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
+        for a in (-0.44, 0.305527, -2.0000009938368044):
+            for rtol in (_CANCEL_RTOL, _PHASE_RTOL):
+                ref = [kummer_m(a, 2.0, zi, rtol=rtol) for zi in z]
+                vals = kummer_m_array(a, 2.0, z, rtol=rtol)
+                assert _bits(vals) == _bits(np.array(ref))
+
+    def test_phase_grade_band(self):
+        # the phase grade takes the expansion alone at |z| >= 34 away from
+        # the positive real axis, and the series first next to it or at
+        # |z| < 34
+        a, b = -0.5, 2.0
+        for z, regimes in ((10.0 + 40.0j, ["_kummer_asymptotic"]),
+                           (35.75 - 0.9j, ["_kummer_series_double"]),
+                           (2.0 + 32.0j, ["_kummer_series_double",
+                                          "_kummer_asymptotic"])):
+            log = []
+            with _logged("_kummer_series_double", log), \
+                    _logged("_kummer_asymptotic", log):
+                kummer_m(a, b, z, rtol=_PHASE_RTOL)
+            assert log == regimes
 
     def test_term_budget_like_scalar(self):
         z = np.array([3.0 + 1e5j])

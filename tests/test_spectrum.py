@@ -7,10 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singwave import spectrum
+from singwave import specfun, spectrum
 from singwave.specfun import (_CANCEL_RTOL, _PHASE_RTOL, ConvergenceError,
                               kummer_m)
 from singwave.spectrum import (Eigenvalue, Rect, SpectralProblem,
@@ -125,6 +125,17 @@ class TestFindEigenvalues:
         assert len(reals) == m
         assert reals[0] == pytest.approx(diving, abs=0.01)
         assert np.allclose(reals[1:], laguerre_poles(m - 1), atol=1e-9)
+
+
+    @pytest.mark.parametrize("u", [1, 4, 7, 10, 13])
+    def test_near_one(self, u):
+        # alpha = 1 +/- 10^-u, audited: ceil(alpha - 1) real roots, one
+        # above 1 and none below, and the three pairs asked for
+        for alpha in (1.0 + 10.0 ** -u, 1.0 - 10.0 ** -u):
+            evs = find_eigenvalues(SpectralProblem(alpha), 3)
+            n_real = sum(1 for e in evs if e.branch == "real")
+            assert n_real == math.ceil(alpha - 1.0)
+            assert len(evs) == n_real + 6
 
 
 class TestRealAxisScan:
@@ -312,12 +323,9 @@ def _rect_near_zero(draw):
         return alpha, Rect(x, x + w, y, y + h), False
     p = SpectralProblem(alpha)
     seed = asymptotic_eigenvalue(p, draw(st.integers(1, 3)), "upper")
-    try:
-        lam, _ = spectrum._newton(p, seed)
-    except (spectrum.SpectrumError, ConvergenceError, OverflowError):
-        # Newton leaves the region from the asymptotic seed near alpha = 1,
-        # where F is almost flat; no zero to place a rectangle by
-        reject()
+    # Newton's capped step keeps it near the seeds' zeros even next to
+    # alpha = 1, where F is almost flat
+    lam, _ = spectrum._newton(p, seed)
     d = draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(-6, -3))
     # the zero sits at fraction t along the edge that passes it at d
     t = draw(st.floats(0.1, 0.9))
@@ -389,6 +397,40 @@ class TestPhaseGrade:
         evs = find_eigenvalues(p, 5)
         assert p.phase_values
         assert _bits(evs) == _bits(ref)
+
+
+    @pytest.mark.parametrize("alpha, k_max", [(0.694473, 20),
+                                              (1.440102, 5)])
+    def test_walk_never_reaches_mpmath(self, monkeypatch, alpha, k_max):
+        # each phase-grade sample finds a double-precision regime: the
+        # expansion alone in the large-|z| band, else after the series
+        grades, fallbacks = [], []
+
+        def graded(f):
+            def g(aa, b, z, rtol=_CANCEL_RTOL):
+                grades.append(rtol)
+                try:
+                    return f(aa, b, z, rtol=rtol)
+                finally:
+                    grades.pop()
+            return g
+
+        def high(f):
+            def g(aa, b, z):
+                fallbacks.append(grades[-1] if grades else _CANCEL_RTOL)
+                return f(aa, b, z)
+            return g
+
+        for name in ("kummer_m", "kummer_m_array"):
+            monkeypatch.setattr(spectrum, name,
+                                graded(getattr(spectrum, name)))
+        monkeypatch.setattr(specfun, "_kummer_series_highprec",
+                            high(specfun._kummer_series_highprec))
+        p = SpectralProblem(alpha)
+        find_eigenvalues(p, k_max)
+        assert p.phase_values
+        assert _CANCEL_RTOL in fallbacks  # the spy sees Newton's
+        assert _PHASE_RTOL not in fallbacks
 
 
 class TestAsymptoticSeeds:
