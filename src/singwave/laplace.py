@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Spline
-from .specfun import exp_integral_e1, exp_integral_e1_array, laguerre, p_poly
+from .specfun import (exp_integral_e1, exp_integral_e1_array, laguerre,
+                      p_poly, p_poly_exact)
 from .spectrum import laguerre_poles, standing_mode
 
 _POLE_TOL = 1e-8
@@ -75,14 +76,15 @@ class LaplaceRHS:
 def partial_fractions(n):
     """Residues a_k = P_n(-2 mu_k) / (-2 (L_n^(1))'(-2 mu_k))
     = P_n(-2 mu_k) / (2 L_{n-1}^(2)(-2 mu_k)), by d/dx L_n^(1) = -L_{n-1}^(2);
-    the poles are simple because Laguerre roots are."""
+    the poles are simple because Laguerre roots are. P_n is evaluated at
+    the pole exactly (p_poly_exact): float Horner cancels there."""
     if n < 1:
         raise ValueError("n must be >= 1")
     poles = laguerre_poles(n)
-    pn = p_poly(n)
     coeffs = []
     for mu in poles:
-        a = pn(-2.0 * mu) / (2.0 * laguerre(n - 1, 2, -2.0 * mu))
+        a = p_poly_exact(n, -2.0 * mu) / (
+            2.0 * laguerre(n - 1, 2, -2.0 * mu))
         if abs(a) <= _COEFF_MIN:
             raise LaplaceError(f"residue a_k ~ 0 at mu={mu} (n={n}); "
                                f"root finder or polynomial defect")

@@ -54,6 +54,9 @@ _LOCKSTEP_CHUNK = 1024
 # phase grade)
 _ASYM_LOCKSTEP_MIN = 64
 
+# mpmath values kept by _kummer_series_highprec
+_HIGHPREC_MEMO = 16
+
 _E1_SWITCH_ABS = 2.0
 _E1_MAX_ITER = 500
 
@@ -140,8 +143,19 @@ def _kummer_series_highprec(a, b, z):
     double-precision series nor the large-argument expansion reaches the
     accuracy contract. zeroprec (53 + 1.5|z| + 40 bits) lets an exact zero,
     such as a terminating series at its root, come back as 0 instead of
-    raising.
+    raising. The value meets both grades, so the last _HIGHPREC_MEMO are
+    kept: a value-grade call at a z whose phase-grade call just reached
+    mpmath (Newton's switch of grade) gets the same value without a second
+    evaluation.
     """
+    import mpmath as mp
+
+    return _hyp1f1(a, b, z, mp.mp.prec)
+
+
+@functools.lru_cache(maxsize=_HIGHPREC_MEMO)
+def _hyp1f1(a, b, z, prec):
+    """mpmath's hyp1f1 at working precision prec, as a complex."""
     import mpmath as mp
 
     try:
@@ -245,8 +259,10 @@ def kummer_m(a, b, z, *, rtol=_CANCEL_RTOL):
     series and the large-argument expansion are tried in the order that
     _regimes chooses from the grade and z before anything is summed, and
     mpmath.hyp1f1 is the fallback where neither passes (near zeros of M,
-    and in the cancellation window at large |Im z|). kummer_m_array
-    evaluates the same function over a numpy array.
+    and in the cancellation window at large |Im z|). Its value is exact at
+    both grades and kept for the next few calls, so a z taken first at the
+    phase grade and then at the value grade reaches mpmath once.
+    kummer_m_array evaluates the same function over a numpy array.
     """
     if b <= 0 and b == int(b):
         raise ValueError(f"b={b} is a non-positive integer")
@@ -415,9 +431,9 @@ def kummer_m_array(a, b, z, *, rtol=_CANCEL_RTOL):
     return out.reshape(z.shape)
 
 
-def kummer_m_dz(a, b, z):
-    """d/dz M(a, b, z) = (a/b) M(a+1, b+1, z)."""
-    return (a / b) * kummer_m(a + 1.0, b + 1.0, z)
+def kummer_m_dz(a, b, z, *, rtol=_CANCEL_RTOL):
+    """d/dz M(a, b, z) = (a/b) M(a+1, b+1, z), M at rtol's grade."""
+    return (a / b) * kummer_m(a + 1.0, b + 1.0, z, rtol=rtol)
 
 
 def laguerre(n, beta, x):
@@ -453,10 +469,9 @@ def laguerre_coeffs(n, beta):
 
 
 @functools.lru_cache(maxsize=None)
-def p_poly(n):
-    """The auxiliary polynomial family of degree n from the Green's-function
-    construction: constant term 1, leading coefficient equal to that of
-    L_n^(1). Coefficients by the direct double sum, computed exactly."""
+def _p_poly_fractions(n):
+    """p_poly(n)'s coefficients as exact fractions, ascending degree: the
+    direct double sum."""
     if n < 0:
         raise ValueError("n must be non-negative")
     coeffs = [Fraction(0)] * (n + 1)
@@ -465,7 +480,27 @@ def p_poly(n):
         for m in range(k + 1):
             coeffs[m] += Fraction(binom * math.factorial(k - m),
                                   math.factorial(k))
-    return PolynomialCoeffs(tuple(float(c) for c in coeffs))
+    return tuple(coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def p_poly(n):
+    """The auxiliary polynomial family of degree n from the Green's-function
+    construction: constant term 1, leading coefficient equal to that of
+    L_n^(1). Coefficients by the direct double sum, computed exactly."""
+    return PolynomialCoeffs(tuple(float(c) for c in _p_poly_fractions(n)))
+
+
+def p_poly_exact(n, x):
+    """P_n(x) at a float x in exact rational arithmetic, rounded once.
+
+    Near a zero of L_n^(1) the float Horner of p_poly cancels: at n = 10
+    the smallest value is about 1e-12 of the terms' size."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(_p_poly_fractions(n)):
+        acc = acc * x + c
+    return float(acc)
 
 
 def _e1_series(z):

@@ -31,6 +31,10 @@ _NEWTON_TOL = 1e-12
 # from the asymptotic seed reached |2 lambda| ~ 1e5, beyond the series'
 # term budget.
 _NEWTON_MAX_STEP = math.pi
+# Newton takes F at the phase grade while the step it gives is at least this
+# times 1 + |lambda|, then at the value grade: a relative error r in F moves
+# the next iterate by r |step|, so only the last steps need F's last digits
+_NEWTON_VALUE_STEP = 1e-7
 _RESIDUAL_TOL = 1e-9
 _BOUNDARY_TOL = 1e-9
 # count_zeros' perturbed retries after a zero on the boundary, and
@@ -91,8 +95,10 @@ class SpectralProblem:
     integer fast path, e.g. when probing the discontinuity at integer alpha.
     char_values holds F(lambda) by the exact lambda for this problem alone,
     so that each lambda is evaluated once. phase_values holds, in the same
-    way, the values that only the winding walk reads: evaluated at the
-    phase grade (_PHASE_RTOL), they never reach an eigenvalue or a residual.
+    way, the values taken at the phase grade (_PHASE_RTOL): the winding
+    walk's samples and Newton's iterates while its steps are long. They
+    steer Newton's early steps but never its last step, an eigenvalue's
+    residual or a zero count's result.
     """
 
     alpha: float
@@ -167,8 +173,9 @@ def char_fn(problem, lam):
 
 
 def _phase_fn(problem, lam):
-    """F(lambda) for the winding walk: the value from problem.char_values
-    if there is one, else at the phase grade through problem.phase_values."""
+    """F(lambda) where its phase, or a long Newton step, is all that is
+    read: the value from problem.char_values if there is one, else at the
+    phase grade through problem.phase_values."""
     f = problem.char_values.get(lam)
     if f is None:
         f = problem.phase_values.get(lam)
@@ -195,32 +202,48 @@ def _phase_fn_many(problem, lams):
 
 
 def char_fn_dlam(problem, lam):
-    """dF/dlambda, from the term-wise differentiated series."""
-    return -2.0 * kummer_m_dz(1.0 - problem.alpha, 2.0, -2.0 * complex(lam))
+    """dF/dlambda at the phase grade: Newton only divides by it, and its
+    relative error r moves a step by r |step|."""
+    return -2.0 * kummer_m_dz(1.0 - problem.alpha, 2.0, -2.0 * complex(lam),
+                              rtol=_PHASE_RTOL)
 
 
 def _newton(problem, seed):
     """Damped Newton on the characteristic function, each step at most
-    _NEWTON_MAX_STEP long."""
+    _NEWTON_MAX_STEP long.
+
+    F is taken at the phase grade (_phase_fn) while the step it gives is at
+    least _NEWTON_VALUE_STEP (1 + |lambda|); below that F is taken again at
+    the same lambda at the value grade (char_fn), and so is every later F:
+    the halving tests, the stopping test and the returned residual. A step
+    from a phase-grade F never ends the iteration.
+    """
     lam = complex(seed)
-    f = char_fn(problem, lam)
+    fn = _phase_fn
+    f = fn(problem, lam)
     for _ in range(_NEWTON_MAX_ITER):
         df = char_fn_dlam(problem, lam)
         if df == 0:
             raise NewtonError(seed, "vanishing derivative")
         step = f / df
+        if fn is _phase_fn and (abs(step)
+                                < _NEWTON_VALUE_STEP * (1.0 + abs(lam))):
+            fn = char_fn
+            f = fn(problem, lam)
+            step = f / df
         if abs(step) > _NEWTON_MAX_STEP:
             step *= _NEWTON_MAX_STEP / abs(step)
         lam_new = lam - step
-        f_new = char_fn(problem, lam_new)
+        f_new = fn(problem, lam_new)
         # halve on overshoot
         halvings = 0
         while abs(f_new) > abs(f) and halvings < 20:
             step *= 0.5
             lam_new = lam - step
-            f_new = char_fn(problem, lam_new)
+            f_new = fn(problem, lam_new)
             halvings += 1
-        if abs(lam_new - lam) < _NEWTON_TOL * (1.0 + abs(lam_new)):
+        if fn is char_fn and (abs(lam_new - lam)
+                              < _NEWTON_TOL * (1.0 + abs(lam_new))):
             return lam_new, abs(f_new)
         lam, f = lam_new, f_new
     raise NewtonError(seed)

@@ -102,10 +102,55 @@ class TestSpectrum:
         assert "Traceback" not in err
 
 
-# re/im columns of `spectrum --alpha A --kmax 5`, recorded before the
-# real-axis scan moved to kummer_m_array + brentq and the high-precision
-# fallback to mpmath.hyp1f1; both changes must leave them byte-identical
+# re/im columns of `spectrum --alpha A --kmax K` (K from GOLDEN_KMAX, else
+# 5), recorded before the real-axis scan moved to kummer_m_array + brentq
+# and the high-precision fallback to mpmath.hyp1f1; both changes must leave
+# them byte-identical. 0.694473 was recorded before Newton took its long
+# steps at the phase grade; its pairs reach |z| ~ 126, the large-|z| band.
+GOLDEN_KMAX = {"0.694473": 20}
 GOLDEN_SPECTRA = {
+    "0.694473": """\
+1,upper,-1.8929268641432566,2.804370189007495
+2,upper,-2.360802812650063,6.062898418534011
+3,upper,-2.636477998066594,9.257281333499373
+4,upper,-2.83319388595173,12.429693697462882
+5,upper,-2.9863388297069373,15.591746684227157
+6,upper,-3.1117744056352334,18.74802395977379
+7,upper,-3.218011405363807,21.900725371239766
+8,upper,-3.3101541171608275,25.051047148619947
+9,upper,-3.3915072980503878,28.199699244425986
+10,upper,-3.4643341935911955,31.347131294393243
+11,upper,-3.5302530100956835,34.49364275330746
+12,upper,-3.5904609547627437,37.63944122365973
+13,upper,-3.645868707195802,40.78467543028427
+14,upper,-3.6971851398939837,43.929454871956544
+15,upper,-3.7449728662248774,47.07386205517512
+16,upper,-3.7896858991384765,50.21796039479923
+17,upper,-3.8316959184988546,53.361799478692866
+18,upper,-3.87131104746452,56.50541867211862
+19,upper,-3.9087895638530106,59.64884964447466
+20,upper,-3.94435010252895,62.7921181778452
+1,lower,-1.8929268641432566,-2.804370189007495
+2,lower,-2.360802812650063,-6.062898418534011
+3,lower,-2.636477998066594,-9.257281333499373
+4,lower,-2.83319388595173,-12.429693697462882
+5,lower,-2.9863388297069373,-15.591746684227157
+6,lower,-3.1117744056352334,-18.74802395977379
+7,lower,-3.218011405363807,-21.900725371239766
+8,lower,-3.3101541171608275,-25.051047148619947
+9,lower,-3.3915072980503878,-28.199699244425986
+10,lower,-3.4643341935911955,-31.347131294393243
+11,lower,-3.5302530100956835,-34.49364275330746
+12,lower,-3.5904609547627437,-37.63944122365973
+13,lower,-3.645868707195802,-40.78467543028427
+14,lower,-3.6971851398939837,-43.929454871956544
+15,lower,-3.7449728662248774,-47.07386205517512
+16,lower,-3.7896858991384765,-50.21796039479923
+17,lower,-3.8316959184988546,-53.361799478692866
+18,lower,-3.87131104746452,-56.50541867211862
+19,lower,-3.9087895638530106,-59.64884964447466
+20,lower,-3.94435010252895,-62.7921181778452
+""",
     "1.440102": """\
 1,real,-1.5421665906889575,0.0
 1,upper,-3.812518390787235,3.7478262342564634
@@ -140,7 +185,7 @@ GOLDEN_SPECTRA = {
 @pytest.mark.parametrize("alpha", sorted(GOLDEN_SPECTRA))
 def test_golden_spectrum(capsys, alpha):
     code, out, _ = run_cli(capsys, "spectrum", "--alpha", alpha,
-                           "--kmax", "5")
+                           "--kmax", str(GOLDEN_KMAX.get(alpha, 5)))
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "index,branch,re,im,residual,seed_source"

@@ -42,6 +42,35 @@ class TestPartialFractions:
             pf = partial_fractions(n)
             assert all(abs(a) > 1e-12 for a in pf.coeffs)
 
+    @pytest.mark.parametrize("n, bound", [(8, 1e-6), (10, 1e-3)])
+    def test_residues_against_mpmath(self, n, bound):
+        # oracle: the residues at the 50-digit roots of L_n^(1); the
+        # smallest are ~1e-9 (n = 8) and ~3e-12 (n = 10) of the terms of
+        # P_n, so a float Horner loses 4e-5 and 7e-2 of them (measured
+        # 3.5e-7 and 2.0e-4 with P_n exact at the double poles)
+        import mpmath
+
+        from singwave.specfun import _p_poly_fractions
+
+        def lag(m, beta, x):
+            p0, p1 = mpmath.mpf(1), 1 + beta - x
+            if m == 0:
+                return p0
+            for k in range(1, m):
+                p0, p1 = p1, ((2 * k + 1 + beta - x) * p1
+                              - (k + beta) * p0) / (k + 1)
+            return p1
+
+        pf = partial_fractions(n)
+        coeffs = _p_poly_fractions(n)
+        with mpmath.workdps(50):
+            for mu, a in zip(pf.poles, pf.coeffs):
+                x = mpmath.findroot(lambda t: lag(n, 1, t), -2 * mu)
+                pn = sum(mpmath.mpf(c.numerator) / c.denominator * x ** i
+                         for i, c in enumerate(coeffs))
+                ref = pn / (2 * lag(n - 1, 2, x))
+                assert abs((a - ref) / ref) <= bound, (mu, a, ref)
+
     def test_poles_are_laguerre_roots(self):
         pf = partial_fractions(2)
         want = sorted([(-3 - math.sqrt(3)) / 2, (-3 + math.sqrt(3)) / 2])

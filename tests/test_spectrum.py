@@ -402,9 +402,11 @@ class TestPhaseGrade:
     @pytest.mark.parametrize("alpha, k_max", [(0.694473, 20),
                                               (1.440102, 5)])
     def test_walk_never_reaches_mpmath(self, monkeypatch, alpha, k_max):
-        # each phase-grade sample finds a double-precision regime: the
-        # expansion alone in the large-|z| band, else after the series
-        grades, fallbacks = [], []
+        # each phase-grade walk sample finds a double-precision regime: the
+        # expansion alone in the large-|z| band, else after the series.
+        # Newton's phase-grade F may reach mpmath next to a zero, so each
+        # fallback is recorded with its grade and whether Newton asked
+        grades, fallbacks, newton = [], [], []
 
         def graded(f):
             def g(aa, b, z, rtol=_CANCEL_RTOL):
@@ -417,8 +419,18 @@ class TestPhaseGrade:
 
         def high(f):
             def g(aa, b, z):
-                fallbacks.append(grades[-1] if grades else _CANCEL_RTOL)
+                fallbacks.append((grades[-1] if grades else None,
+                                  bool(newton)))
                 return f(aa, b, z)
+            return g
+
+        def in_newton(f):
+            def g(*args):
+                newton.append(True)
+                try:
+                    return f(*args)
+                finally:
+                    newton.pop()
             return g
 
         for name in ("kummer_m", "kummer_m_array"):
@@ -426,11 +438,100 @@ class TestPhaseGrade:
                                 graded(getattr(spectrum, name)))
         monkeypatch.setattr(specfun, "_kummer_series_highprec",
                             high(specfun._kummer_series_highprec))
+        monkeypatch.setattr(spectrum, "_newton", in_newton(spectrum._newton))
         p = SpectralProblem(alpha)
         find_eigenvalues(p, k_max)
         assert p.phase_values
-        assert _CANCEL_RTOL in fallbacks  # the spy sees Newton's
-        assert _PHASE_RTOL not in fallbacks
+        assert (_CANCEL_RTOL, True) in fallbacks  # the spy sees Newton's
+        assert (_PHASE_RTOL, False) not in fallbacks
+
+
+class TestNewtonGrades:
+    """Newton takes F' and its long steps at the phase grade, its last
+    steps at the value grade."""
+
+    # value-grade F calls that reach _kummer_series_highprec in one Newton
+    # solve (kept mpmath values included); 6, 8 and 10 before the grades
+    VALUE_FALLBACKS_PER_SOLVE = 3
+
+    @pytest.mark.parametrize("alpha, k_max", [(0.694473, 20),
+                                              (1.440102, 5),
+                                              (3 + 9.9e-7, 5)])
+    def test_grades_by_step(self, monkeypatch, alpha, k_max):
+        import mpmath
+
+        # solves: one record per Newton solve; active while one runs
+        where, solves, active, evaluated = [], [], [], []
+
+        def tagged(name, tag):
+            f = getattr(spectrum, name)
+
+            def g(problem, lam):
+                if active and tag != "dlam":
+                    solves[-1]["f"].append((tag, complex(lam)))
+                where.append(tag)
+                try:
+                    return f(problem, lam)
+                finally:
+                    where.pop()
+            monkeypatch.setattr(spectrum, name, g)
+
+        def high(f):
+            def g(aa, b, z):
+                if active:
+                    solves[-1]["fallbacks"].append(where[-1] if where
+                                                   else None)
+                return f(aa, b, z)
+            return g
+
+        def hyp1f1(f):
+            def g(aa, b, z, **kwargs):
+                evaluated.append((aa, b, complex(z)))
+                return f(aa, b, z, **kwargs)
+            return g
+
+        def newton(f):
+            def g(problem, seed):
+                solves.append({"f": [], "fallbacks": []})
+                active.append(True)
+                try:
+                    lam, res = f(problem, seed)
+                finally:
+                    active.pop()
+                solves[-1]["out"] = (lam, res, problem)
+                return lam, res
+            return g
+
+        tagged("char_fn", "value")
+        tagged("_phase_fn", "phase")
+        tagged("char_fn_dlam", "dlam")
+        monkeypatch.setattr(specfun, "_kummer_series_highprec",
+                            high(specfun._kummer_series_highprec))
+        monkeypatch.setattr(mpmath, "hyp1f1", hyp1f1(mpmath.hyp1f1))
+        monkeypatch.setattr(spectrum, "_newton", newton(spectrum._newton))
+        specfun._hyp1f1.cache_clear()
+        find_eigenvalues(SpectralProblem(alpha), k_max)
+
+        assert solves
+        for s in solves:
+            assert "dlam" not in s["fallbacks"]
+            assert (s["fallbacks"].count("value")
+                    <= self.VALUE_FALLBACKS_PER_SOLVE)
+            grades = [tag for tag, _ in s["f"]]
+            first = grades.index("value")
+            # phase-grade F until the switch, then value-grade F only, the
+            # first at the lambda last taken at the phase grade
+            assert first >= 1 and set(grades[:first]) == {"phase"}
+            assert set(grades[first:]) == {"value"}
+            assert s["f"][first][1] == s["f"][first - 1][1]
+            # the last step starts from a value-grade F, and the residual
+            # is the value-grade |F| at the root
+            assert len(grades) - first >= 2
+            lam, res, problem = s["out"]
+            assert s["f"][-1] == ("value", lam)
+            assert res == abs(problem.char_values[lam])
+        # no lambda reaches mpmath twice, at either grade
+        assert len(evaluated) == len(set(evaluated))
 
 
 class TestAsymptoticSeeds:
