@@ -54,7 +54,12 @@ _LOCKSTEP_CHUNK = 1024
 # phase grade)
 _ASYM_LOCKSTEP_MIN = 64
 
-# mpmath values kept by _kummer_series_highprec
+# mpmath values kept by _kummer_series_highprec. Besides Newton's switch of
+# grade (the same z again after one F' call), the real-axis scan's array
+# value comes back as a Brent endpoint, and Brent's root in Newton's
+# polish, after up to 12 other mpmath values (spectral-cold and
+# sweep-continuation job lists, seeds 7, 4242, 8675); at 2 entries 2 to 5
+# values a pass are evaluated twice, at 16 none
 _HIGHPREC_MEMO = 16
 
 _E1_SWITCH_ABS = 2.0
@@ -432,7 +437,8 @@ def kummer_m_array(a, b, z, *, rtol=_CANCEL_RTOL):
 
 
 def kummer_m_dz(a, b, z, *, rtol=_CANCEL_RTOL):
-    """d/dz M(a, b, z) = (a/b) M(a+1, b+1, z), M at rtol's grade."""
+    """d/dz M(a, b, z) = (a/b) M(a+1, b+1, z); rtol is kummer_m's, with its
+    two grades and its default."""
     return (a / b) * kummer_m(a + 1.0, b + 1.0, z, rtol=rtol)
 
 

@@ -389,6 +389,18 @@ class TestExtinction:
         assert code == 2
         assert "config error: refinement level dt=10.0" in err
 
+    @pytest.mark.parametrize("alpha", ["12", "13"])
+    def test_tail_past_tiny_residues(self, capsys, alpha):
+        # n = 11, 12: the smallest residues of P_n/L_n^(1) are ~1e-13 and
+        # ~1e-15 of the largest, the second below its pole's rounding; the
+        # sine data keep a tail, matched to 4.1e-6 at this grid
+        code, out, err = run_cli(capsys, "extinction", "--alpha", alpha,
+                                 "--N", "200", "--dt", "0.01")
+        assert code == 0, err
+        report = json.loads(out)["report"]
+        assert report["extinct"] is False
+        assert report["tail_match_error"] < 1e-5
+
     def test_report(self, capsys):
         code, out, _ = run_cli(capsys, "extinction", "--alpha", "1",
                                "--N", "200", "--dt", "0.004")

@@ -71,6 +71,22 @@ class TestPartialFractions:
                 ref = pn / (2 * lag(n - 1, 2, x))
                 assert abs((a - ref) / ref) <= bound, (mu, a, ref)
 
+    def test_residues_sum_to_minus_half(self):
+        # P_n/L_n^(1) = 1 - 1/(2 tau) + O(tau^-2): from n = 12 on some a_k
+        # are below their pole's rounding and still pass
+        for n in range(1, 26):
+            pf = partial_fractions(n)
+            assert abs(math.fsum(pf.coeffs) + 0.5) <= 1e-13
+
+    def test_wrong_pole_raises(self, monkeypatch):
+        from singwave import laplace
+
+        poles = list(laplace.laguerre_poles(5))
+        poles[-1] *= 1.0 + 1e-9
+        monkeypatch.setattr(laplace, "laguerre_poles", lambda n: tuple(poles))
+        with pytest.raises(laplace.LaplaceError, match="not -1/2"):
+            partial_fractions(5)
+
     def test_poles_are_laguerre_roots(self):
         pf = partial_fractions(2)
         want = sorted([(-3 - math.sqrt(3)) / 2, (-3 + math.sqrt(3)) / 2])
