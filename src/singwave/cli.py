@@ -12,8 +12,13 @@ import argparse
 import csv
 import io
 import json
+# argparse's messages go through gettext, which imports locale on first
+# use; imported here so that the first command does not pay for it
+import locale  # noqa: F401
 import math
 import os
+import pickle
+import signal
 import sys
 
 import numpy as np
@@ -212,20 +217,67 @@ def _sweep_chunk(chunk_kmax):
     return alpha_sweep(chunk, kmax)
 
 
+def _fork_map(fn, items):
+    """[fn(item) for item in items], each call in a child forked from this
+    process, which only waits. Each child pickles its result, or the type
+    and message of the exception it raised, back through a pipe; they are
+    read in item order, so the exception raised here is the one a serial
+    run would raise. A child that ends without its result is a
+    SpectrumError."""
+    children = []  # (pid, read end) of the children not yet reaped
+    try:
+        for item in items:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    try:
+                        out = ("ok", fn(item))
+                    except Exception as exc:
+                        out = ("raised", type(exc), str(exc))
+                    with open(w, "wb") as fh:
+                        fh.write(pickle.dumps(out))
+                    code = 0  # only once the whole result is written
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r))
+        results = []
+        for i in range(len(items)):
+            pid, r = children[0]
+            with open(r, "rb", closefd=False) as fh:
+                payload = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(0)[1])
+            if code != 0:
+                raise SpectrumError(f"sweep worker {i + 1} of {len(items)} "
+                                    f"ended without a result (exit code "
+                                    f"{code})")
+            out = pickle.loads(payload)
+            if out[0] == "raised":
+                # not cls(message): some constructors take other arguments
+                _, cls, message = out
+                raise cls.__new__(cls, message)
+            results.append(out[1])
+        return results
+    finally:
+        # after a failed chunk or an interrupt: stop and reap the rest
+        for pid, r in children:
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_sweep(args):
     cfg = _effective(args, _SWEEP_DEFAULTS)
     grid = _sweep_grid(cfg)
     jobs = _jobs(args)
     kmax = int(cfg["kmax"])
     if jobs > 1 and len(grid) > 2 * jobs:
-        # the pool's import costs ~25 ms; serial runs never pay it
-        from concurrent.futures import ProcessPoolExecutor
-
         n = len(grid)
         chunks = [grid[i * n // jobs:(i + 1) * n // jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # chunk order, not completion order
-            parts = list(pool.map(_sweep_chunk, [(c, kmax) for c in chunks]))
+        parts = _fork_map(_sweep_chunk, [(c, kmax) for c in chunks])
     else:
         parts = [alpha_sweep(grid, kmax)]
     rows = [{"alpha": p.alpha, "trajectory_id": p.trajectory_id,

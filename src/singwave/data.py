@@ -10,7 +10,18 @@ Spline, the package's one piecewise polynomial.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve, solve_banded
+
+from . import lapack
+
+
+def _union(*arrays):
+    """The sorted distinct values of the arrays, as np.union1d gives them,
+    without np.unique (which imports numpy.ma)."""
+    out = np.sort(np.concatenate(arrays))
+    keep = np.empty(len(out), dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 class Spline:
@@ -42,7 +53,7 @@ class Spline:
             raise ValueError("spline knots and values must be finite")
         slope = np.diff(y) / dx
         if n == 2:  # the line through both points
-            s = np.array([slope[0], slope[0]])
+            s, info = np.array([slope[0], slope[0]]), 0
         elif n == 3:  # both conditions coincide: the parabola
             A = np.array([[1.0, 1.0, 0.0],
                           [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
@@ -50,8 +61,14 @@ class Spline:
             b = np.array([2 * slope[0],
                           3 * (dx[0] * slope[1] + dx[1] * slope[0]),
                           2 * slope[1]])
-            s = solve(A, b.reshape(3, -1), overwrite_a=True,
-                      overwrite_b=True, check_finite=False).reshape(3)
+            # scipy.linalg.solve's routines on A cast to b's dtype: Cholesky
+            # where A is symmetric (dx = 1, 1; then A is positive
+            # definite), otherwise the LU factorisation
+            factor, solve = ("potrf", "potrs") if dx[0] == dx[1] == 1.0 \
+                else ("getrf", "getrs")
+            *fac, info = lapack.routine(factor, b)(A.astype(b.dtype))
+            if info == 0:
+                s, info = lapack.routine(solve, b)(*fac, b)
         else:
             # slopes s_i from the tridiagonal system, in banded storage
             A = np.zeros((3, n))
@@ -68,8 +85,11 @@ class Spline:
             A[-1, -2] = d = x[-1] - x[-3]
             b[-1] = (dx[-1] ** 2 * slope[-2]
                      + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-            s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
-                             overwrite_b=True, check_finite=False).reshape(n)
+            # the ?gtsv call of scipy.linalg.solve_banded((1, 1), A, b)
+            s, info = lapack.routine("gtsv", b)(
+                A[2, :-1], A[1], A[0, 1:], b, overwrite_b=1)[3:]
+        if info != 0:
+            raise np.linalg.LinAlgError("singular spline system")
         # Hermite form on each piece
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
@@ -228,7 +248,7 @@ def combine(data_list, weights):
             return acc
         knots = [part.x for part in parts if hasattr(part, "x")]
         if knots:
-            f.x = np.unique(np.concatenate(knots))
+            f.x = _union(*knots)
         return f
 
     return InitialData(u0=mk("u0"), u1=mk("u1"), du0=mk("du0"),

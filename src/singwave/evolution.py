@@ -18,7 +18,9 @@ the midpoint velocity q = (v + v')/2 solves one system per step:
 
 A is tridiagonal and, for alpha >= 0, symmetric positive definite; it is
 factored once by LAPACK's dpttrf and every step is one dpttrs solve in
-place. L u = diff(u_x)/h reuses the u_x of the last step's energy audit.
+place, both called on scipy's compiled wrappers (singwave.lapack, which
+leaves scipy.linalg unimported). L u = diff(u_x)/h reuses the u_x of the
+last step's energy audit.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+# leggauss; imported with this module so that no command's first
+# quadrature pays for it
+import numpy.polynomial.legendre
 
-from .data import combine, mode_data
+from .data import _union, combine, mode_data
+from .lapack import flapack
 from .spectrum import standing_mode
 
 _ENERGY_INCREASE_TOL = 1e-10
@@ -132,8 +137,8 @@ def simulate(alpha, initial, T, dt, N=2000, snapshot_times=None,
     c = 0.5 * dt
     damp = c * (2.0 * alpha / x)
     k = c * c / (h * h)
-    d_fac, e_fac, info = lapack.dpttrf(1.0 + damp + 2.0 * k,
-                                       np.full(N - 1, -k))
+    d_fac, e_fac, info = flapack.dpttrf(1.0 + damp + 2.0 * k,
+                                        np.full(N - 1, -k))
     if info != 0:
         raise EvolutionError(f"step-matrix factorization failed "
                              f"(dpttrf info={info})")
@@ -163,7 +168,7 @@ def simulate(alpha, initial, T, dt, N=2000, snapshot_times=None,
         np.subtract(u_x[1:], u_x[:-1], out=rhs)
         rhs *= c / h
         rhs += v
-        q, _info = lapack.dpttrs(d_fac, e_fac, rhs, overwrite_b=1)
+        q, _info = flapack.dpttrs(d_fac, e_fac, rhs, overwrite_b=1)
         q *= 2.0
         np.subtract(q, v, out=v)
         q *= c
@@ -204,7 +209,7 @@ def _gauss_legendre(*fns):
     breaks = np.linspace(0.0, 1.0, _PANELS + 1)
     for f in fns:
         if hasattr(f, "x"):
-            breaks = np.union1d(breaks, np.clip(f.x, 0.0, 1.0))
+            breaks = _union(breaks, np.clip(f.x, 0.0, 1.0))
     nodes, weights = _legendre_rule()
     half = 0.5 * np.diff(breaks)[:, None]
     mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 
+from .lapack import flapack
 from .specfun import (_PHASE_RTOL, ConvergenceError, kummer_m,
                       kummer_m_array, kummer_m_dz, laguerre)
 
@@ -368,7 +368,11 @@ def laguerre_poles(n):
     band = np.zeros((2, n))
     band[0, 1:] = -np.sqrt(k[1:] * (k[1:] + 1.0))
     band[1] = 2 * k + 1.0 + 1
-    x = eigvals_banded(band, overwrite_a_band=True)
+    # scipy.linalg.eigvals_banded's call
+    x, _, info = flapack.dsbevd(band, compute_v=0, lower=0, overwrite_ab=1)
+    if info != 0:
+        raise SpectrumError(f"Jacobi-matrix eigenvalues failed "
+                            f"(dsbevd info={info})")
     if n > 1:
         y = _laguerre1_forward(n, x)
         x -= y / ((n * y - (n + 1.0) * _laguerre1_forward(n - 1, x)) / x)

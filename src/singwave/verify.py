@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# default_rng; imported with this module so that no check pays for it
+import numpy.random
 
 from .data import Spline, sine_data
 from .evolution import _gauss_legendre, projection_condition

@@ -4,7 +4,6 @@ exit codes and determinism."""
 import csv
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from singwave import cli, spectrum
+from singwave import cli, specfun, spectrum
 from singwave.cli import main
 from singwave.data import bump_data
 from singwave.evolution import simulate
@@ -222,10 +221,7 @@ class TestSweep:
             assert "config error: need 0 < alpha-min" in err
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("jobs", [
-        "1", pytest.param("2", marks=pytest.mark.skipif(
-            multiprocessing.get_start_method() != "fork",
-            reason="pool workers see the patch only when forked"))])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_dropped_point_warned(self, capsys, monkeypatch, jobs):
         find = spectrum.find_eigenvalues
 
@@ -250,6 +246,52 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + len(doc["rows"])
 
+
+    # six points, which --jobs 2 splits into 1.3-1.5 and 1.6-1.8
+    _POOLED = ("sweep", "--alpha-min", "1.3", "--alpha-max", "1.8",
+               "--step", "0.1", "--kmax", "1")
+
+    @pytest.mark.parametrize("exc, code", [
+        (specfun.ConvergenceError("series stalled", 1.4, 7), 1),
+        (ValueError("bad alpha"), 2)])
+    def test_worker_error_matches_serial(self, capsys, monkeypatch, exc,
+                                         code):
+        # both chunks raise; the run reports the first chunk's exception,
+        # as the serial run does, with its type's exit code and its message
+        # (ConvergenceError's constructor does not take its own message)
+        sweep = cli.alpha_sweep
+
+        def failing(alphas, kmax):
+            for alpha in alphas:
+                if abs(alpha - 1.4) < 1e-9:
+                    raise exc
+                if abs(alpha - 1.7) < 1e-9:
+                    raise spectrum.NewtonError(1.7)
+            return sweep(alphas, kmax)
+
+        monkeypatch.setattr(cli, "alpha_sweep", failing)
+        serial = run_cli(capsys, *self._POOLED, "--jobs", "1")
+        pooled = run_cli(capsys, *self._POOLED, "--jobs", "2")
+        assert serial[0] == code
+        assert str(exc) in serial[2]
+        assert pooled == serial
+
+    def test_dead_worker_is_computation_error(self):
+        # a worker that ends without writing its result: a classified
+        # error, not a hang or a traceback
+        code = f"""
+import os, sys
+from singwave import cli
+def die(item):
+    os._exit(1)
+cli._sweep_chunk = die
+sys.exit(cli.main({list(self._POOLED) + ["--jobs", "2"]!r}))
+"""
+        proc = _run_python(code, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("singwave: computation error: sweep worker 1 "
+                               "of 2 ended without a result (exit code 1)\n")
 
 class TestSimulate:
     def test_snapshot_format(self, capsys, tmp_path):
@@ -521,23 +563,25 @@ class TestDeterminism:
 
 # scipy packages the package imports only in tests (and scipy.integrate only
 # for laplace's singular 1/s integral at Re tau <= 0, on first use)
-_TEST_ONLY_SCIPY = ("scipy.interpolate", "scipy.optimize", "scipy.special",
-                    "scipy.integrate")
+_TEST_ONLY_SCIPY = ("scipy.linalg", "scipy.interpolate", "scipy.optimize",
+                    "scipy.special", "scipy.integrate")
 
 
-def _run_python(code):
+def _run_python(code, timeout=None):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
-def test_import_leaves_out_scipy_integrate():
-    # importing the CLI loads numpy and scipy.linalg only; the process
-    # pool of sweep --jobs is imported when a sweep starts one
+def test_import_leaves_out_scipy():
+    # importing the CLI loads numpy and scipy's compiled LAPACK wrappers
+    # (singwave.lapack), but no scipy module: scipy.linalg's import would
+    # bring numpy.f2py and numpy.testing with it
     code = ("import sys, singwave.cli; "
-            f"print([m for m in {_TEST_ONLY_SCIPY!r} "
-            "+ ('concurrent.futures.process',) if m in sys.modules])")
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.split('.')[:2] in (['numpy', 'f2py'], "
+            "['numpy', 'testing'])])")
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

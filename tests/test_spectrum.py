@@ -220,6 +220,28 @@ class TestScipyOracles:
             ref = tuple(float(mu) for mu in np.sort(-x / 2.0))
             assert laguerre_poles(n) == ref, n
 
+    def test_laguerre_poles_match_eigvals_banded(self):
+        # the Golub-Welsch nodes come from LAPACK's dsbevd, called as
+        # scipy.linalg.eigvals_banded calls it: the poles are unchanged
+        from scipy.linalg import eigvals_banded
+
+        from singwave.specfun import laguerre
+
+        for n in range(1, 61):
+            k = np.arange(n, dtype=float)
+            band = np.zeros((2, n))
+            band[0, 1:] = -np.sqrt(k[1:] * (k[1:] + 1.0))
+            band[1] = 2 * k + 1.0 + 1
+            x = eigvals_banded(band)
+            if n > 1:
+                y = spectrum._laguerre1_forward(n, x)
+                x -= y / ((n * y - (n + 1.0)
+                           * spectrum._laguerre1_forward(n - 1, x)) / x)
+            for _ in range(3):
+                x = x + laguerre(n, 1, x) / laguerre(n - 1, 2, x)
+            assert laguerre_poles(n) == tuple(
+                float(mu) for mu in np.sort(-x / 2.0)), n
+
     def test_laguerre_poles_match_mpmath(self):
         # relative error <= 4e-14 (n = 1..60 all measured <= 2.8e-14,
         # the worst at the smallest |mu| of n = 58)
