@@ -54,12 +54,10 @@ _LOCKSTEP_CHUNK = 1024
 # phase grade)
 _ASYM_LOCKSTEP_MIN = 64
 
-# mpmath values kept by _kummer_series_highprec. Besides Newton's switch of
-# grade (the same z again after one F' call), the real-axis scan's array
-# value comes back as a Brent endpoint, and Brent's root in Newton's
-# polish, after up to 12 other mpmath values (spectral-cold and
-# sweep-continuation job lists, seeds 7, 4242, 8675); at 2 entries 2 to 5
-# values a pass are evaluated twice, at 16 none
+# mpmath values kept by _kummer_series_highprec, for Newton's switch of
+# grade: the same z again after one F' call. On the spectral-cold and
+# sweep-continuation job lists (seeds 7, 4242, 8675) 2 entries already
+# evaluate no value twice; 16 is margin
 _HIGHPREC_MEMO = 16
 
 _E1_SWITCH_ABS = 2.0

@@ -42,11 +42,6 @@ _BOUNDARY_TOL = 1e-9
 _BOUNDARY_RETRIES = 5
 _RECOVER_ROUNDS = 3
 _DEDUP_TOL = 1e-8
-# Brent's method on the real-axis brackets: rtol at scipy brentq's floor of
-# 4 eps, and brentq's iteration limit
-_BRENT_XTOL = 1e-15
-_BRENT_RTOL = 8.9e-16
-_BRENT_MAX_ITER = 100
 # below this many new points per call, kummer_m one by one is faster than
 # kummer_m_array, whose lockstep series has a fixed cost per term block
 _ARRAY_MIN_POINTS = 24
@@ -420,58 +415,13 @@ def standing_mode(n, k):
     return StandingMode(mu, f, df, f_over_x)
 
 
-def _brent_root(f, xa, xb):
-    """A zero of f on [xa, xb], where f changes sign: Brent's method (Brent
-    1973, Algorithms for Minimization without Derivatives, ch. 4) in the
-    steps of scipy.optimize.brentq, whose roots it reproduces bit for bit."""
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise SpectrumError(f"no sign change of the characteristic function "
-                            f"on [{xa}, {xb}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise SpectrumError(f"real-axis root did not converge after "
-                        f"{_BRENT_MAX_ITER} iterations, value is {xcur!r}")
-
-
 def _real_eigenvalues_generic(problem):
-    """Negative real eigenvalues for non-integer alpha by sign-change scan
-    of the (real-valued) characteristic function on the negative axis."""
+    """Negative real eigenvalues for non-integer alpha, as (lambda,
+    residual) pairs in ascending lambda: a sign-change scan of the
+    (real-valued) characteristic function on the negative axis, then Newton
+    from each bracket's secant point, or from a sample where F is exactly
+    zero (its bracket then the neighbouring samples). A root that leaves its
+    bracket raises SpectrumError: no later check would catch it unaudited."""
     a = problem.alpha
     expected = max(0, math.ceil(a - 1.0))
     if expected == 0:
@@ -480,20 +430,28 @@ def _real_eigenvalues_generic(problem):
     dist = max(min(a - math.floor(a), math.ceil(a) - a), 1e-16)
     z_hi = 4.0 * a + 16.0 + 3.0 * max(0.0, -math.log(dist))
     zs = np.linspace(1e-6, z_hi, 4000)
-    g = lambda z: kummer_m(1.0 - a, 2.0, complex(z)).real
     vals = kummer_m_array(1.0 - a, 2.0, zs).real
-    roots = []
+    brackets = []  # (lo, hi, seed) in z = -2 lambda
     for i in range(len(zs) - 1):
         if vals[i] == 0.0:
-            roots.append(zs[i])
+            brackets.append((zs[max(i - 1, 0)], zs[i + 1], zs[i]))
         elif vals[i] * vals[i + 1] < 0:
-            roots.append(_brent_root(g, float(zs[i]), float(zs[i + 1])))
-    mus = sorted(-z / 2.0 for z in roots)
-    if len(mus) != expected:
+            lo, hi = zs[i], zs[i + 1]
+            brackets.append(
+                (lo, hi, lo - vals[i] * (hi - lo) / (vals[i + 1] - vals[i])))
+    if len(brackets) != expected:
         raise SpectrumError(
-            f"real-axis scan found {len(mus)} zeros, expected {expected} "
-            f"(alpha={a}, scan range z<={z_hi:.3g})")
-    return mus
+            f"real-axis scan found {len(brackets)} zeros, expected "
+            f"{expected} (alpha={a}, scan range z<={z_hi:.3g})")
+    roots = []
+    for lo, hi, seed in brackets:
+        lam, res = _newton(problem, complex(-seed / 2.0))
+        if not lo <= -2.0 * lam.real <= hi:
+            raise SpectrumError(
+                f"real-axis root z={-2.0 * lam.real!r} left its bracket "
+                f"[{float(lo)!r}, {float(hi)!r}] (alpha={a})")
+        roots.append((complex(lam.real), res))
+    return sorted(roots, key=lambda t: t[0].real)
 
 
 def _audit_rect(lam, spacing):
@@ -592,9 +550,8 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
             _audit(problem, evs)
         return evs
 
-    for i, mu in enumerate(_real_eigenvalues_generic(problem)):
-        lam, res = _newton(problem, complex(mu))
-        evs.append(Eigenvalue(complex(lam.real), i + 1, "real", res))
+    for i, (lam, res) in enumerate(_real_eigenvalues_generic(problem)):
+        evs.append(Eigenvalue(lam, i + 1, "real", res))
 
     n_pairs = k_max
     if search_radius is not None:
@@ -642,8 +599,8 @@ def eigenfunction(problem, ev):
     """The closed-form eigenfunction x e^(lambda x) M(1-alpha, 2,
     -2 lambda x) of an eigenvalue from find_eigenvalues, as a callable; on
     the integer fast path the standing mode of index ev.index."""
-    if ev.residual >= _RESIDUAL_TOL:
-        raise ValueError(f"eigenvalue residual too large: {ev.residual}")
+    if ev.residual > _RESIDUAL_TOL:
+        raise SpectrumError(f"eigenvalue residual too large: {ev.residual}")
     if problem.integer_n is not None:
         return standing_mode(problem.integer_n, ev.index).f
     lam = ev.value

@@ -102,9 +102,9 @@ class TestSpectrum:
 
 
 # re/im columns of `spectrum --alpha A --kmax K` (K from GOLDEN_KMAX, else
-# 5), recorded before the real-axis scan moved to kummer_m_array + brentq
-# and the high-precision fallback to mpmath.hyp1f1; both changes must leave
-# them byte-identical. 0.694473 was recorded before Newton took its long
+# 5), recorded before the real-axis scan moved to kummer_m_array, with
+# Newton from each bracket's secant point, and the high-precision fallback
+# to mpmath.hyp1f1; both changes must leave them byte-identical. 0.694473 was recorded before Newton took its long
 # steps at the phase grade; its pairs reach |z| ~ 126, the large-|z| band.
 GOLDEN_KMAX = {"0.694473": 20}
 GOLDEN_SPECTRA = {

@@ -165,6 +165,71 @@ def _scan_brackets(alpha):
             if vals[i] * vals[i + 1] < 0]
 
 
+class TestRealRoots:
+    """The real roots of the scan's brackets: Newton from each bracket's
+    secant point, and the guard that keeps it inside."""
+
+    def test_match_mpmath(self):
+        # each root to within 1e-15 relative of 50-digit findroot
+        import mpmath as mp
+
+        n_roots = 0
+        with mp.workdps(50):
+            for alpha in _SCAN_ALPHAS:
+                a = mp.mpf(alpha)
+                for lam, _ in _real_eigenvalues_generic(
+                        SpectralProblem(alpha)):
+                    assert lam.imag == 0.0
+                    z = mp.findroot(lambda z: mp.hyp1f1(1 - a, 2, z),
+                                    -2.0 * lam.real)
+                    assert abs((-2.0 * lam.real - z) / z) <= 1e-15, (alpha,
+                                                                     lam)
+                    n_roots += 1
+        assert n_roots == 31
+
+    def test_inside_brackets(self):
+        n_roots = 0
+        for alpha in _SCAN_ALPHAS:
+            roots = _real_eigenvalues_generic(SpectralProblem(alpha))
+            brackets = _scan_brackets(alpha)
+            assert len(roots) == len(brackets)
+            # ascending lambda is descending z
+            for (lam, _), (lo, hi) in zip(roots, reversed(brackets)):
+                assert lo <= -2.0 * lam.real <= hi, (alpha, lam)
+                n_roots += 1
+        assert n_roots == 31
+
+    def test_exact_zero_sample(self, monkeypatch):
+        # a sample where F is exactly zero seeds Newton there, with the
+        # neighbouring samples as its bracket: the same roots come back
+        alpha = 2.3
+        want = _real_eigenvalues_generic(SpectralProblem(alpha))
+        lo = _scan_brackets(alpha)[0][0]
+        kummer_m_array = spectrum.kummer_m_array
+
+        def zeroed(aa, b, z, rtol=_CANCEL_RTOL):
+            vals = kummer_m_array(aa, b, z, rtol=rtol)
+            vals[np.flatnonzero(z == lo)] = 0.0
+            return vals
+
+        monkeypatch.setattr(spectrum, "kummer_m_array", zeroed)
+        got = _real_eigenvalues_generic(SpectralProblem(alpha))
+        assert [lam for lam, _ in got] == pytest.approx(
+            [lam for lam, _ in want], rel=1e-15)
+
+    def test_root_outside_bracket_raises(self, monkeypatch):
+        # a Newton root 2 outside its bracket in z: the solve raises, and
+        # a sweep drops that alpha
+        monkeypatch.setattr(spectrum, "_newton",
+                            lambda problem, seed: (seed + 1.0, 0.0))
+        with pytest.raises(spectrum.SpectrumError, match="left its bracket"):
+            find_eigenvalues(SpectralProblem(2.3), 3, audit=False)
+        pts = alpha_sweep([2.3], 1)
+        assert pts == []
+        assert [a for a, _ in pts.dropped] == [2.3]
+        assert "left its bracket" in pts.dropped[0][1]
+
+
 def _mp_laguerre(n, a, x):
     # three-term recurrence in mpmath's working precision
     p0, p1 = 1, 1 + a - x
@@ -176,37 +241,8 @@ def _mp_laguerre(n, a, x):
 
 
 class TestScipyOracles:
-    """The pure-Python Brent iteration and the Golub-Welsch poles against
-    the scipy routines they replace, bit for bit."""
-
-    def test_brent_root_matches_brentq(self):
-        from scipy.optimize import brentq
-
-        n_brackets = 0
-        for alpha in _SCAN_ALPHAS:
-            calls = [0, 0]
-
-            def g(z, j):
-                calls[j] += 1
-                return kummer_m(1.0 - alpha, 2.0, complex(z)).real
-
-            for lo, hi in _scan_brackets(alpha):
-                ref = brentq(g, lo, hi, args=(0,), xtol=1e-15,
-                             rtol=8.9e-16)
-                got = spectrum._brent_root(lambda z: g(z, 1), float(lo),
-                                           float(hi))
-                assert type(got) is float
-                assert got == ref, (alpha, lo)
-                n_brackets += 1
-            assert calls[0] == calls[1], alpha
-        assert n_brackets == 31
-
-    def test_brent_root_errors(self):
-        with pytest.raises(spectrum.SpectrumError, match="no sign change"):
-            spectrum._brent_root(lambda z: z * z + 1.0, -1.0, 1.0)
-        with pytest.raises(spectrum.SpectrumError, match="100 iterations"):
-            spectrum._brent_root(lambda z: math.copysign(1.0, z), -1e300,
-                                 2e300)
+    """The Golub-Welsch poles against the scipy routines they replace, bit
+    for bit."""
 
     def test_laguerre_poles_match_roots_genlaguerre(self):
         from scipy.special import roots_genlaguerre
@@ -665,6 +701,15 @@ class TestEigenfunction:
             scale = max(abs(f[1]), 1.0)
             worst = max(worst, abs(resid) / (scale / h ** 0))
         assert worst < 1e-5 * max(abs(lam) ** 2, 1.0) * 10
+
+    def test_residual_above_tolerance(self):
+        # a computation error (exit 1), not a config error; the bound is
+        # find_eigenvalues' own
+        p = SpectralProblem(2.5)
+        tol = spectrum._RESIDUAL_TOL
+        with pytest.raises(spectrum.SpectrumError, match="residual"):
+            eigenfunction(p, Eigenvalue(-1.0 + 0j, 1, "real", 2 * tol))
+        assert eigenfunction(p, Eigenvalue(-1.0 + 0j, 1, "real", tol))(0.5)
 
 
 class TestSpectralAbscissa:
