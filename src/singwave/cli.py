@@ -2,8 +2,9 @@
 extinction studies and the verification suite.
 
 Outputs are deterministic for identical configs and seeds. Every subcommand
-accepts --format csv|json and --out; JSON output carries a metadata block
-with the package version and the effective config.
+accepts --out and --config; spectrum, sweep and verify also --format
+csv|json, and sweep alone --jobs. JSON output carries a metadata block with
+the package version and the effective config.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _effective(args, defaults):
 
 
 def _jobs(args):
-    if getattr(args, "jobs", None) is not None:
+    if args.jobs is not None:
         return max(1, args.jobs)
     env = os.environ.get("SINGWAVE_JOBS")
     if env:
@@ -420,12 +421,9 @@ def cmd_verify(args):
 # -------------------------------------------------------------------- main
 
 def _add_common(sub):
-    sub.add_argument("--format", choices=["csv", "json"], default="csv")
     sub.add_argument("--out", default=None, help="output path ('-' = stdout)")
     sub.add_argument("--config", default=None,
                      help="key=value or JSON config file")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: $SINGWAVE_JOBS or 1)")
 
 
 def build_parser():
@@ -440,6 +438,7 @@ def build_parser():
     sp.add_argument("--alpha", type=float)
     sp.add_argument("--kmax", type=int)
     sp.add_argument("--radius", type=float)
+    sp.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(sp)
     sp.set_defaults(func=cmd_spectrum)
 
@@ -458,6 +457,9 @@ def build_parser():
                     const=True, default=None)
     sw.add_argument("--refine-integers", dest="refine_integers", type=int,
                     help="extra grid levels at 1e-3, 1e-5, ... of integers")
+    sw.add_argument("--jobs", type=int, default=None,
+                    help="worker processes (default: $SINGWAVE_JOBS or 1)")
+    sw.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(sw)
     sw.set_defaults(func=cmd_sweep)
 
@@ -492,6 +494,7 @@ def build_parser():
     vf.add_argument("--trials", type=int)
     vf.add_argument("--seed", type=int)
     vf.add_argument("--nmax", type=int)
+    vf.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(vf)
     vf.set_defaults(func=cmd_verify)
     return parser

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Spline
-from .specfun import (exp_integral_e1, exp_integral_e1_array, laguerre,
-                      p_poly, p_poly_exact)
+from .specfun import exp_integral_e1_array, laguerre, p_poly, p_poly_exact
 from .spectrum import laguerre_poles, standing_mode
 
 _POLE_TOL = 1e-8
@@ -101,28 +100,6 @@ def partial_fractions(n):
     return PartialFractions(n, poles, coeffs)
 
 
-def _log_integral(x, tau):
-    """int_x^1 e^(-2 tau s)/s ds by quadrature on the real segment; where
-    Re tau > 0 _bracket_factor uses E1 differences instead."""
-    if x >= 1.0:
-        return 0.0 + 0.0j
-    if tau == 0:
-        return -math.log(x)
-    # the package's one scalar quadrature, imported by its one user so
-    # that importing the CLI leaves scipy.integrate out
-    import scipy.integrate
-
-    re = scipy.integrate.quad(
-        lambda s: math.exp(-2.0 * tau.real * s) / s
-        * math.cos(2.0 * tau.imag * s), x, 1.0, epsabs=1e-12, epsrel=1e-12,
-        limit=200)[0]
-    im = scipy.integrate.quad(
-        lambda s: -math.exp(-2.0 * tau.real * s) / s
-        * math.sin(2.0 * tau.imag * s), x, 1.0, epsabs=1e-12, epsrel=1e-12,
-        limit=200)[0]
-    return re + 1j * im
-
-
 def _sink_factor(n, x, tau):
     """y e^(tau y) L_n^(1)(-2 tau y) evaluated at x (the solution branch
     vanishing at 0)."""
@@ -131,41 +108,30 @@ def _sink_factor(n, x, tau):
 
 
 def _bracket_factor(n, x, tau):
-    """The bracketed factor of the G1 kernel; value 1 at x = 0."""
+    """The bracketed factor of the G1 kernel; value 1 at x = 0. Its
+    int_x^1 e^(-2 tau s)/s ds is E1(2 tau x) - E1(2 tau) inside (0, 1), all
+    from one exp_integral_e1_array call: both arguments lie on one ray from
+    0, so on one side of E1's cut. The integral is zero from x = 1 on, and
+    at tau = 0 its factor 2 tau is."""
     pn = p_poly(n)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    e2t = cmath.exp(-2.0 * tau)
-    if tau.real > 0:
-        # int_x^1 e^(-2 tau s)/s ds = E1(2 tau x) - E1(2 tau) inside
-        # (0, 1), zero from x = 1 on
-        log_int = np.zeros(x_arr.shape, dtype=complex)
+    log_int = np.zeros(x_arr.shape, dtype=complex)
+    if tau != 0:
         inside = (x_arr != 0.0) & (x_arr < 1.0)
-        log_int[inside] = (exp_integral_e1_array(2.0 * tau * x_arr[inside])
-                           - exp_integral_e1(2.0 * tau))
-        w = -2.0 * tau * x_arr
-        inner = 2.0 * tau * log_int + e2t
-        out = np.exp(-tau * x_arr) * pn(w) - x_arr * np.exp(tau * x_arr) \
-            * laguerre(n, 1, w) * inner
-        return out if np.ndim(x) else out[0]
-    out = np.empty(x_arr.shape, dtype=complex)
-    for i, xi in enumerate(x_arr):
-        first = cmath.exp(-tau * xi) * pn(-2.0 * tau * xi)
-        if xi == 0.0:
-            out[i] = first
-            continue
-        inner = 2.0 * tau * _log_integral(xi, tau) + e2t
-        out[i] = first - xi * cmath.exp(tau * xi) \
-            * laguerre(n, 1, -2.0 * tau * xi) * inner
+        e1 = exp_integral_e1_array(2.0 * tau
+                                   * np.append(x_arr[inside], 1.0))
+        log_int[inside] = e1[:-1] - e1[-1]
+    w = -2.0 * tau * x_arr
+    inner = 2.0 * tau * log_int + cmath.exp(-2.0 * tau)
+    out = np.exp(-tau * x_arr) * pn(w) - x_arr * np.exp(tau * x_arr) \
+        * laguerre(n, 1, w) * inner
     return out if np.ndim(x) else out[0]
 
 
 def green_g1(n, x, y, tau):
     """Entire-part kernel: used as G1(x, y) for y < x and G1(y, x) for
-    y > x in the solution formula. Requires Re tau > 0 (the E1 reduction);
-    the assembled solver continues it analytically."""
+    y > x in the solution formula; entire in tau."""
     tau = complex(tau)
-    if tau.real <= 0:
-        raise ValueError(f"green_g1 requires Re tau > 0, got {tau}")
     return _sink_factor(n, y, tau) * _bracket_factor(n, x, tau) / (n + 1)
 
 

@@ -76,13 +76,13 @@ def block_split(cs, f, g, d, terms, accs):
 
 def asym_sum(p, q, w, tol):
     """specfun._asym_sum(p[i], q[i], w[i], tol) for every i in lockstep,
-    bit for bit: the best sums and the moduli of their last terms.
+    bit for bit: the best sums and their error estimates.
 
     The terms come from block_split, divided by w. The optimal-truncation
     rule is then read off each block at once: the best |term| so far is a
-    running minimum that skips a NaN as the scalar comparison does, and
-    the best sum is the one at the term where that minimum was last
-    lowered (each lowering is strict).
+    running minimum, and the largest |sum| a running maximum, each skipping
+    a NaN as the scalar comparison does; the best sum is the one at the
+    term where that minimum was last lowered (each lowering is strict).
     """
     m = w.size
     wr, wi = w.real, w.imag
@@ -103,7 +103,7 @@ def asym_sum(p, q, w, tol):
     term = np.zeros((3, m))  # rows re, im, re
     term[0] = term[2] = 1.0
     acc = term[:2].copy()
-    best_acc, best_mag = acc.copy(), np.ones(m)
+    best_acc, best_mag, max_mag = acc.copy(), np.ones(m), np.ones(m)
     k = 0
     while idx.size:
         n = idx.size
@@ -122,17 +122,20 @@ def asym_sum(p, q, w, tol):
         stop[-1] = True  # a column that runs on ends the block at its end
         last = stop.argmax(axis=0)
         best_mag = best[last + 1, np.arange(n)]
+        max_mag = np.fmax.accumulate(np.concatenate(
+            [max_mag[None], acc_mags[1:]]), axis=0)[last + 1, np.arange(n)]
         lowered = better & (mags == best_mag)
         cols = np.flatnonzero(lowered.any(axis=0))
         best_acc[:, cols] = accs[lowered[:, cols].argmax(axis=0) + 1, :,
                                  cols].T
         fin = np.flatnonzero(hit)
         sums.real[idx[fin]], sums.imag[idx[fin]] = best_acc[:, fin]
-        tails[idx[fin]] = best_mag[fin]
+        tails[idx[fin]] = best_mag[fin] + 2.3e-16 * max_mag[fin]
         keep = ~hit
         idx, p, q, budget = idx[keep], p[keep], q[keep], budget[keep]
         xx, yy, dd = xx[:, keep], yy[:, keep], dd[:, keep]
         term, acc = terms[-1][:, keep], accs[-1][:, keep]
         best_acc, best_mag = best_acc[:, keep], best_mag[keep]
+        max_mag = max_mag[keep]
         k += BLOCK
     return sums, tails

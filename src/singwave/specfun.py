@@ -3,7 +3,7 @@
 Provides the regular confluent hypergeometric function M(a, b, z), associated
 Laguerre polynomials, the auxiliary polynomial family entering the Green's
 function of the singular Sturm-Liouville problem and the exponential
-integral E1.
+integral E1 on the whole cut plane.
 
 All functions are pure and reentrant.
 """
@@ -60,8 +60,15 @@ _ASYM_LOCKSTEP_MIN = 64
 # evaluate no value twice; 16 is margin
 _HIGHPREC_MEMO = 16
 
+# E1 by its power series (DLMF 6.6.2) at |z| <= _E1_SWITCH_ABS, and left of
+# the imaginary axis also where the series cancels by at most
+# e^_E1_SERIES_CANCEL: its terms reach about e^|z| against |E1| ~ e^-Re z.
+# The continued fraction (DLMF 6.9.1) everywhere else
 _E1_SWITCH_ABS = 2.0
-_E1_MAX_ITER = 500
+_E1_SERIES_CANCEL = 4.0
+# the series on the negative real axis needs about 1.3|z| terms: 1,000
+# reach |z| = 709, where e^|z| leaves the float range
+_E1_MAX_ITER = 1000
 
 
 class SpecialFunctionError(Exception):
@@ -170,7 +177,9 @@ def _hyp1f1(a, b, z, prec):
 
 def _asym_sum(p, q, w, tol):
     """Optimally truncated sum_s (p)_s (q)_s / (s! w^s), stopping early at
-    a term below tol |sum|.
+    a term below tol |sum|, and its error estimate: the smallest term plus
+    the rounding of the partial sums, 2.3e-16 times the largest of their
+    moduli, as the series' cancellation estimate counts it.
 
     The truncation point is the globally smallest term: a Pochhammer factor
     passing near zero makes single terms dip and recover, so a local growth
@@ -180,19 +189,23 @@ def _asym_sum(p, q, w, tol):
     acc = term
     best_acc = acc
     best_mag = abs(term)
+    max_mag = best_mag
     for s in range(int(abs(w)) + 40):
         # the factor as c + 0j, as lockstep.asym_sum forms it
         term = term * ((p + s) * (q + s) / (s + 1.0) + 0j) / w
         acc += term
         mag = abs(term)
+        acc_mag = abs(acc)
+        if acc_mag > max_mag:
+            max_mag = acc_mag
         if mag < best_mag:
             best_mag = mag
             best_acc = acc
-            if mag < tol * abs(acc):
+            if mag < tol * acc_mag:
                 break
         elif mag > 1e6 * best_mag:
             break  # safely inside the divergent tail
-    return best_acc, best_mag
+    return best_acc, best_mag + 2.3e-16 * max_mag
 
 
 def _asym_sum_tol(rtol):
@@ -205,7 +218,7 @@ def _asym_sum_tol(rtol):
 def _asym_value(a, b, z, s1, tail1, s2, tail2):
     """M from the sums of the large-|z| expansion, upper sign for
     Im z >= 0: (value, absolute error estimate), the estimate being the
-    optimally truncated tails scaled by their prefactors."""
+    sums' error estimates (_asym_sum) scaled by their prefactors."""
     eps = 1.0 if z.imag >= 0 else -1.0
     pref_alg = cmath.exp(1j * math.pi * a * eps) * z ** (-a) * _recip_gamma(b - a)
     pref_exp = cmath.exp(z) * z ** (a - b) * _recip_gamma(a)
@@ -507,67 +520,27 @@ def p_poly_exact(n, x):
     return float(acc)
 
 
-def _e1_series(z):
-    acc = -EULER_GAMMA - cmath.log(z)
-    term = 1.0 + 0.0j
-    for k in range(1, _E1_MAX_ITER):
-        term = term * (-z) / k
-        contrib = -term / k
-        acc += contrib
-        if abs(contrib) < _SERIES_RTOL * abs(acc):
-            return acc
-    raise ConvergenceError("E1 series did not converge", z, _E1_MAX_ITER)
-
-
-def _e1_continued_fraction(z):
-    # Modified Lentz on E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...)))
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for k in range(1, _E1_MAX_ITER):
-        a = -k * k * 1.0
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return cmath.exp(-z) * h
-    raise ConvergenceError("E1 continued fraction did not converge", z,
-                           _E1_MAX_ITER)
-
-
-def exp_integral_e1(z):
-    """Exponential integral E1(z) = int_1^inf e^(-t z)/t dt for Re z > 0.
-
-    Power series with the log term for |z| <= 2, modified Lentz continued
-    fraction beyond.
-    """
-    z = complex(z)
-    if z.real <= 0:
-        raise ValueError(f"exp_integral_e1 requires Re z > 0, got {z}")
-    if abs(z) <= _E1_SWITCH_ABS:
-        return _e1_series(z)
-    return _e1_continued_fraction(z)
-
-
 def exp_integral_e1_array(z):
-    """exp_integral_e1 over a numpy array of z, same shape out.
+    """The exponential integral E1(z) = int_z^inf e^(-t)/t dt over a numpy
+    array of z != 0, same shape out, on the principal branch: the cut is
+    the negative real axis, and a signed zero imaginary part there picks
+    its side.
 
-    Runs the scalar series (|z| <= 2) and modified-Lentz continued fraction
-    (beyond) in lockstep over the elements, each element stopping under the
-    scalar stopping rule; results agree with exp_integral_e1 up to the
-    rounding of numpy's complex arithmetic.
+    The power series with its log term and the modified-Lentz continued
+    fraction each run in lockstep over their elements, each element
+    stopping on its own; the split between them is _E1_SWITCH_ABS and
+    _E1_SERIES_CANCEL. Raises ValueError at z = 0 and ConvergenceError
+    where an element exhausts _E1_MAX_ITER terms (a NaN does).
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    if np.any(flat.real <= 0):
-        raise ValueError("exp_integral_e1_array requires Re z > 0")
+    modulus = np.abs(flat)
+    if np.any(modulus == 0):
+        raise ValueError("exp_integral_e1_array is singular at z = 0")
     out = np.empty_like(flat)
 
-    series = np.abs(flat) <= _E1_SWITCH_ABS
+    series = (modulus <= _E1_SWITCH_ABS) | (
+        (flat.real < 0) & (modulus + flat.real <= _E1_SERIES_CANCEL))
     idx = np.flatnonzero(series)
     zz = flat[idx]
     acc = -EULER_GAMMA - np.log(zz)

@@ -117,7 +117,6 @@ class Eigenvalue:
     index: int
     branch: str  # "real" | "upper" | "lower"
     residual: float
-    multiplicity: int = 1
     seed_source: str = "scan"  # "laguerre" | "asymptotic" | "scan"
 
 

@@ -11,7 +11,6 @@ evolution modules together, so it doubles as a cross-module oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 # default_rng; imported with this module so that no check pays for it
@@ -21,15 +20,6 @@ from .data import Spline, sine_data
 from .evolution import _gauss_legendre, projection_condition
 from .laplace import LaplaceRHS
 from .spectrum import laguerre_poles, standing_mode
-
-
-@dataclass(frozen=True)
-class ResolventProbe:
-    """One probe point tau = -sigma + i eta with a normalized witness."""
-
-    sigma: float
-    eta: float
-    ratio: float
 
 
 def hardy_check(psi, dpsi=None):
@@ -104,7 +94,6 @@ def resolvent_bound_check(alpha, sigma, eta, trials=200, N=1000, seed=0):
         return h * float((du @ du.conj()).real) + h * float((v @ v.conj()).real)
 
     worst = math.inf
-    probes = []
     for _ in range(trials):
         su, sv = random_witness(rng)
         u = su(xi).astype(complex)
@@ -118,10 +107,9 @@ def resolvent_bound_check(alpha, sigma, eta, trials=200, N=1000, seed=0):
         r2 = lap - (2.0 * alpha / xi) * v - tau * v
         r1_ext = np.concatenate([[0.0], r1, [0.0]])
         ratio = math.sqrt(hnorm2(r1_ext, r2)) / bound
-        probes.append(ResolventProbe(sigma, eta, ratio))
         if ratio < worst:
             worst = ratio
-    return worst, probes
+    return worst
 
 
 def gupta_bound_check(n_max):
@@ -190,8 +178,8 @@ def run_all(seed=0, trials=200, n_max=20, check="all"):
             ok = ok and lhs <= rhs * (1.0 + 1e-6)
         results["hardy"] = {"passed": ok, "worst_ratio": worst}
     if check in ("all", "resolvent"):
-        ratio, _ = resolvent_bound_check(2.0, 0.0, 5.0, trials=trials,
-                                         seed=seed)
+        ratio = resolvent_bound_check(2.0, 0.0, 5.0, trials=trials,
+                                      seed=seed)
         results["resolvent"] = {"passed": ratio >= 0.95,
                                 "worst_ratio": ratio}
     if check in ("all", "gupta"):

@@ -280,8 +280,8 @@ def test_criterion_14_verification_suite():
         lhs, rhs = hardy_check(su, su.derivative())
         hardy_ok &= lhs <= rhs * (1 + 1e-6)
         hardy_worst = max(hardy_worst, lhs / rhs)
-    res_ratio, _ = resolvent_bound_check(2.0, 0.0, 5.0, trials=200,
-                                         N=1000, seed=0)
+    res_ratio = resolvent_bound_check(2.0, 0.0, 5.0, trials=200, N=1000,
+                                      seed=0)
     gupta_rows = gupta_bound_check(20)
     gupta_ok = all(m <= b * (1 + 1e-10) for _, m, b in gupta_rows)
     ok = hardy_ok and res_ratio >= 0.95 and gupta_ok

@@ -541,6 +541,17 @@ class TestConfig:
         assert code == 2
         assert "SINGWAVE_JOBS" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha", "2", "--format", "json"],
+        ["extinction", "--alpha", "2", "--format", "json"],
+        ["spectrum", "--alpha", "2", "--jobs", "2"],
+        ["verify", "--jobs", "2"]])
+    def test_options_a_command_ignores_are_refused(self, argv):
+        # --format only where a table is written, --jobs only on sweep
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
 
 class TestDeterminism:
     def test_spectrum_bit_identical(self, capsys):
@@ -561,8 +572,7 @@ class TestDeterminism:
             assert pooled == serial
 
 
-# scipy packages the package imports only in tests (and scipy.integrate only
-# for laplace's singular 1/s integral at Re tau <= 0, on first use)
+# scipy packages the package imports only in tests
 _TEST_ONLY_SCIPY = ("scipy.linalg", "scipy.interpolate", "scipy.optimize",
                     "scipy.special", "scipy.integrate")
 
@@ -588,7 +598,8 @@ def test_import_leaves_out_scipy():
 
 
 def test_commands_leave_out_test_only_scipy(tmp_path):
-    # every command kind of the benchmark's workloads, in one interpreter
+    # every command kind of the benchmark's workloads, in one interpreter,
+    # and Laplace solves on both sides of Re tau = 0
     out = str(tmp_path / "out")
     runs = [
         ["spectrum", "--alpha", "2.3", "--kmax", "1"],
@@ -607,8 +618,9 @@ import numpy as np
 from singwave import cli, data, laplace
 for argv in {runs!r}:
     assert cli.main(argv + ["--out", {out!r}]) == 0, argv
-laplace.solve_laplace_U(data.sine_data(1), 2, 1.0 + 0.5j,
-                        np.linspace(0.1, 0.9, 9))
+for tau in (1.0 + 0.5j, -0.3 + 2.0j):
+    laplace.solve_laplace_U(data.sine_data(1), 2, tau,
+                            np.linspace(0.1, 0.9, 9))
 print([m for m in {_TEST_ONLY_SCIPY!r} if m in sys.modules])
 """
     proc = _run_python(code)

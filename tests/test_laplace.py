@@ -10,11 +10,9 @@ import pytest
 from singwave.data import bump_data, mode_data, sine_data, zero_data
 from singwave.evolution import project_out
 from singwave.laplace import (LaplaceRHS, PoleProximityError, _bracket_factor,
-                              _log_integral, green_g1, green_g2,
-                              laplace_U_alpha1, partial_fractions,
-                              solve_laplace_U, tail_u2)
-from singwave.specfun import (exp_integral_e1, laguerre, laguerre_coeffs,
-                              p_poly)
+                              green_g1, green_g2, laplace_U_alpha1,
+                              partial_fractions, solve_laplace_U, tail_u2)
+from singwave.specfun import laguerre, laguerre_coeffs, p_poly
 
 
 class TestPartialFractions:
@@ -102,8 +100,15 @@ class TestGreenKernels:
         assert abs(left - right) < 1e-6
 
     def test_g1_domain(self):
-        with pytest.raises(ValueError):
-            green_g1(1, 0.5, 0.3, -1.0)
+        # G1 is entire in tau: no edge at Re tau = 0, where the bracket's
+        # E1 arguments cross the imaginary axis
+        n, x, y = 2, 0.7, 0.3
+        for eta in (0.0, 1.5, -4.0):
+            left = green_g1(n, x, y, complex(-1e-9, eta))
+            right = green_g1(n, x, y, complex(1e-9, eta))
+            assert abs(left - right) < 1e-7 * abs(right)
+            assert green_g1(n, x, y, complex(0.0, eta)) == pytest.approx(
+                right, rel=1e-7)
 
     def test_g1_no_overflow_large_tau(self):
         v = green_g1(1, 0.9, 0.1, 100.0)
@@ -124,13 +129,28 @@ class TestGreenKernels:
         assert green_g2(n, x, x, mu) == pytest.approx(want, rel=1e-12)
 
 
+def _mp_log_integral(x, tau):
+    """int_x^1 e^(-2 tau s)/s ds in 30-digit mpmath."""
+    import mpmath
+
+    if x >= 1.0:
+        return 0.0
+    with mpmath.workdps(30):
+        if tau == 0:
+            return complex(-mpmath.log(x))
+        w = 2 * mpmath.mpc(tau.real, tau.imag)
+        return complex(mpmath.e1(w * x) - mpmath.e1(w))
+
+
 class TestBracketFactor:
     @pytest.mark.parametrize("n", [0, 1, 3])
     @pytest.mark.parametrize("tau", [2.5 + 0.2j, 0.3 - 4.0j, 7.0, -0.4 + 1.5j,
-                                     -1.0 - 0.5j])
+                                     -1.0 - 0.5j, -1.0 + 1e-3j, 0.0])
     def test_matches_node_loop(self, n, tau):
-        # oracle: the bracket written node by node, with scalar E1
-        # differences (Re tau > 0) or the quadrature of _log_integral
+        # oracle: the bracket written node by node, with the integral in
+        # 30-digit mpmath; at tau = -1 + 1e-3 i the E1 arguments run next
+        # to the cut, at tau = 0 the integral is -ln x
+        tau = complex(tau)
         x = np.concatenate([[0.0], np.linspace(1e-6, 1.0, 41), [1.0]])
         pn = p_poly(n)
         want = np.empty(x.shape, dtype=complex)
@@ -139,19 +159,15 @@ class TestBracketFactor:
             if xi == 0.0:
                 want[i] = first
                 continue
-            if tau.real > 0 and xi < 1.0:
-                log_int = (exp_integral_e1(2.0 * tau * xi)
-                           - exp_integral_e1(2.0 * tau))
-            else:
-                log_int = _log_integral(xi, complex(tau))
-            inner = 2.0 * tau * log_int + cmath.exp(-2.0 * tau)
+            inner = 2.0 * tau * _mp_log_integral(xi, tau) \
+                + cmath.exp(-2.0 * tau)
             want[i] = first - xi * cmath.exp(tau * xi) \
                 * laguerre(n, 1, -2.0 * tau * xi) * inner
-        got = _bracket_factor(n, x, complex(tau))
+        got = _bracket_factor(n, x, tau)
         assert got[0] == 1.0
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        assert _bracket_factor(n, x[7], complex(tau)) == pytest.approx(
-            got[7], rel=1e-14)
+        assert _bracket_factor(n, x[7], tau) == pytest.approx(got[7],
+                                                              rel=1e-14)
 
 
 class TestSolveLaplace:
