@@ -1,10 +1,15 @@
 """Command-line interface: spectra, parameter sweeps, simulation,
 extinction studies and the verification suite.
 
-Outputs are deterministic for identical configs and seeds. Every subcommand
-accepts --out and --config; spectrum, sweep and verify also --format
-csv|json, and sweep alone --jobs. JSON output carries a metadata block with
-the package version and the effective config.
+Each subcommand's options are declared once, in _OPTIONS: name, type and
+default. The flag is --<name> with "_" written "-"; a --config key is the
+name (with "-" or "_") and is read with the flag's type. Flags override
+config values, which override the defaults. Every subcommand also accepts
+--out and --config; spectrum, sweep and verify also --format csv|json, and
+sweep alone --jobs. JSON output carries a metadata block with the package
+version and the effective config.
+
+Outputs are deterministic for identical configs and seeds.
 """
 
 from __future__ import annotations
@@ -44,43 +49,72 @@ class ConfigError(Exception):
 
 
 def _load_config(path):
-    """Flat key=value lines or a JSON object."""
+    """Flat key=value lines or a JSON object, as a dict whose keys have
+    each "-" written "_"."""
     with open(path) as fh:
-        text = fh.read()
-    text_stripped = text.strip()
-    if text_stripped.startswith("{"):
-        data = json.loads(text_stripped)
-        if not isinstance(data, dict):
-            raise ConfigError("config JSON must be an object")
-        return {str(k).replace("-", "_"): v for k, v in data.items()}
-    out = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line: {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+        text = fh.read().strip()
+    if text.startswith("{"):
+        pairs = json.loads(text).items()
+    else:
+        pairs = []
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"bad config line: {line!r}")
+            key, _, value = line.partition("=")
+            pairs.append((key.strip(), value.strip()))
+    return {key.replace("-", "_"): value for key, value in pairs}
 
 
-def _effective(args, defaults):
-    """Flags override config-file values override defaults."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        loaded = _load_config(args.config)
-        for key, value in loaded.items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key: {key}")
-            want = type(cfg[key]) if cfg[key] is not None else str
-            try:
-                cfg[key] = want(value) if want is not bool \
-                    else str(value).lower() in ("1", "true", "yes")
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad value for {key}: {value!r}")
+# Each subcommand's options, in the order metadata.config lists them:
+# name -> (type, default[, further add_argument keywords]). A bool option
+# is a flag that sets True; in a config file 1, true or yes (any case) set
+# it, and any other value clears it.
+_OPTIONS = {
+    "spectrum": {"alpha": (float, None), "kmax": (int, 5),
+                 "radius": (float, None)},
+    "sweep": {"alpha_min": (float, 1.1), "alpha_max": (float, 2.9),
+              "step": (float, 0.01), "kmax": (int, 3),
+              "at_integers": (bool, False),
+              "refine_integers": (int, 0, {
+                  "help": "extra grid levels at 1e-3, 1e-5, ... of "
+                          "integers"})},
+    "simulate": {"alpha": (float, None),
+                 "preset": (str, "sine:1", {
+                     "help": "sine:m | bump | mode:k | file:<path>"}),
+                 "T": (float, 4.0), "dt": (float, 5e-4), "N": (int, 2000),
+                 "project": (bool, False), "snapshots": (int, 21),
+                 "energy_out": (str, None)},
+    "extinction": {"alpha": (float, None), "preset": (str, "sine:1"),
+                   "project": (bool, False), "threshold": (float, 1e-2),
+                   "dt": (float, 5e-4), "N": (int, 2000),
+                   "allow_noninteger": (bool, False)},
+    "verify": {"check": (str, "all",
+                         {"choices": ["all", *verify_mod.CHECKS]}),
+               "trials": (int, 200), "seed": (int, 0), "nmax": (int, 20)},
+}
+
+
+def _effective(args):
+    """The subcommand's options: flags over config-file values over
+    defaults. A config value is read as text, as argparse reads a flag's,
+    so a JSON number and its flag give the same value."""
+    options = _OPTIONS[args.command]
+    cfg = {key: default for key, (_, default, *_) in options.items()}
+    loaded = _load_config(args.config) if args.config else {}
+    for key, value in loaded.items():
+        if key not in options:
+            raise ConfigError(f"unknown config key: {key}")
+        want, text = options[key][0], str(value)
+        try:
+            cfg[key] = want(text) if want is not bool \
+                else text.lower() in ("1", "true", "yes")
+        except ValueError:
+            raise ConfigError(f"bad value for {key}: {value!r}")
     for key in cfg:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
     return cfg
@@ -129,9 +163,9 @@ def _metadata(config, **extra):
 
 
 def _positive_alpha(cfg):
-    if cfg["alpha"] is None:
+    alpha = cfg["alpha"]
+    if alpha is None:
         raise ConfigError("--alpha is required")
-    alpha = float(cfg["alpha"])
     if not 0 < alpha < math.inf:
         raise ConfigError("alpha must be positive and finite")
     return alpha
@@ -166,13 +200,9 @@ def make_initial_data(preset, alpha):
 
 # ---------------------------------------------------------------- spectrum
 
-_SPECTRUM_DEFAULTS = {"alpha": None, "kmax": 5, "radius": None}
-
-
-def cmd_spectrum(args):
-    cfg = _effective(args, _SPECTRUM_DEFAULTS)
+def cmd_spectrum(args, cfg):
     problem = SpectralProblem(_positive_alpha(cfg))
-    evs = find_eigenvalues(problem, int(cfg["kmax"]),
+    evs = find_eigenvalues(problem, cfg["kmax"],
                            search_radius=cfg["radius"])
     branch_order = {"real": 0, "upper": 1, "lower": 2}
     evs = sorted(evs, key=lambda e: (branch_order[e.branch],
@@ -189,10 +219,6 @@ def cmd_spectrum(args):
 
 # ------------------------------------------------------------------- sweep
 
-_SWEEP_DEFAULTS = {"alpha_min": 1.1, "alpha_max": 2.9, "step": 0.01,
-                   "kmax": 3, "at_integers": False, "refine_integers": 0}
-
-
 def _sweep_grid(cfg):
     a0, a1, step = cfg["alpha_min"], cfg["alpha_max"], cfg["step"]
     if not (0 < a0 < a1 < math.inf and 0 < step < math.inf):
@@ -200,22 +226,13 @@ def _sweep_grid(cfg):
                           "0 < step < inf")
     count = int(round((a1 - a0) / step))
     grid = [a0 + i * step for i in range(count + 1) if a0 + i * step <= a1 + 1e-12]
-    refine = int(cfg["refine_integers"])
-    if refine > 0:
-        extra = []
-        for m in range(math.ceil(a0), math.floor(a1) + 1):
-            for level in range(1, refine + 1):
-                off = 10.0 ** (-1 - 2 * level)  # 1e-3, 1e-5, ...
-                extra.extend([m - off, m + off])
-        grid.extend(a for a in extra if a0 <= a <= a1)
+    for m in range(math.ceil(a0), math.floor(a1) + 1):
+        for level in range(1, cfg["refine_integers"] + 1):
+            off = 10.0 ** (-1 - 2 * level)  # 1e-3, 1e-5, ...
+            grid.extend(a for a in (m - off, m + off) if a0 <= a <= a1)
     if not cfg["at_integers"]:
         grid = [a for a in grid if abs(a - round(a)) > 1e-12]
     return sorted(set(grid))
-
-
-def _sweep_chunk(chunk_kmax):
-    chunk, kmax = chunk_kmax
-    return alpha_sweep(chunk, kmax)
 
 
 def _fork_map(fn, items):
@@ -270,15 +287,14 @@ def _fork_map(fn, items):
             os.waitpid(pid, 0)
 
 
-def cmd_sweep(args):
-    cfg = _effective(args, _SWEEP_DEFAULTS)
+def cmd_sweep(args, cfg):
     grid = _sweep_grid(cfg)
     jobs = _jobs(args)
-    kmax = int(cfg["kmax"])
+    kmax = cfg["kmax"]
     if jobs > 1 and len(grid) > 2 * jobs:
         n = len(grid)
         chunks = [grid[i * n // jobs:(i + 1) * n // jobs] for i in range(jobs)]
-        parts = _fork_map(_sweep_chunk, [(c, kmax) for c in chunks])
+        parts = _fork_map(lambda chunk: alpha_sweep(chunk, kmax), chunks)
     else:
         parts = [alpha_sweep(grid, kmax)]
     rows = [{"alpha": p.alpha, "trajectory_id": p.trajectory_id,
@@ -292,11 +308,6 @@ def cmd_sweep(args):
 
 
 # ---------------------------------------------------------------- simulate
-
-_SIM_DEFAULTS = {"alpha": None, "preset": "sine:1", "T": 4.0, "dt": 5e-4,
-                 "N": 2000, "project": False, "snapshots": 21,
-                 "energy_out": None}
-
 
 def _write_snapshots(run, out):
     # joined per snapshot, so that one snapshot's rows are held at a time
@@ -319,16 +330,15 @@ def _write_energy(run, out):
     _write("".join(rows), out)
 
 
-def cmd_simulate(args):
-    cfg = _effective(args, _SIM_DEFAULTS)
+def cmd_simulate(args, cfg):
     alpha = _positive_alpha(cfg)
     if cfg["project"]:
         n = _mode_count(alpha, "--project requires")
     data = make_initial_data(cfg["preset"], alpha)
     if cfg["project"]:
         data = project_out(data, n)
-    run = simulate(alpha, data, float(cfg["T"]), float(cfg["dt"]),
-                   N=int(cfg["N"]), n_snapshots=int(cfg["snapshots"]))
+    run = simulate(alpha, data, cfg["T"], cfg["dt"], N=cfg["N"],
+                   n_snapshots=cfg["snapshots"])
     _write_snapshots(run, args.out)
     if cfg["energy_out"]:
         _write_energy(run, cfg["energy_out"])
@@ -336,13 +346,7 @@ def cmd_simulate(args):
 
 # -------------------------------------------------------------- extinction
 
-_EXT_DEFAULTS = {"alpha": None, "preset": "sine:1", "project": False,
-                 "threshold": 1e-2, "dt": 5e-4, "N": 2000,
-                 "allow_noninteger": False}
-
-
-def cmd_extinction(args):
-    cfg = _effective(args, _EXT_DEFAULTS)
+def cmd_extinction(args, cfg):
     alpha = _positive_alpha(cfg)
     n = integer_n(alpha)
     integer = n is not None
@@ -353,14 +357,14 @@ def cmd_extinction(args):
         _mode_count(alpha, "--project requires")
     data = make_initial_data(cfg["preset"], alpha)
     report = {"alpha": alpha, "preset": cfg["preset"],
-              "projected": bool(cfg["project"])}
+              "projected": cfg["project"]}
     if integer and n >= 1:
         report["projection_condition"] = list(projection_condition(data, n))
     if cfg["project"]:
         data = project_out(data, n)
 
     # refinement trend over three grid levels
-    base_N, base_dt = int(cfg["N"]), float(cfg["dt"])
+    base_N, base_dt = cfg["N"], cfg["dt"]
     levels = [(base_N // 4, base_dt * 4), (base_N // 2, base_dt * 2),
               (base_N, base_dt)]
     trend = []
@@ -375,7 +379,7 @@ def cmd_extinction(args):
         trend.append({"N": N_l, "dt": dt_l,
                       "residual_ratio": tr.energies[idx] / tr.energies[0]})
     report["refinement_trend"] = trend
-    t_star = extinction_time(run, float(cfg["threshold"]))
+    t_star = extinction_time(run, cfg["threshold"])
     report["extinction_time"] = t_star
     report["extinct"] = t_star is not None
 
@@ -398,15 +402,14 @@ def cmd_extinction(args):
 
 # ------------------------------------------------------------------ verify
 
-_VERIFY_DEFAULTS = {"check": "all", "trials": 200, "seed": 0, "nmax": 20}
-
-
-def cmd_verify(args):
-    cfg = _effective(args, _VERIFY_DEFAULTS)
-    results = verify_mod.run_all(int(cfg["seed"]), int(cfg["trials"]),
-                                 int(cfg["nmax"]), check=cfg["check"])
+def cmd_verify(args, cfg):
+    # no trial or no n would pass with nothing checked
+    if min(cfg["trials"], cfg["nmax"]) < 1:
+        raise ConfigError("trials and nmax must be at least 1")
+    results = verify_mod.run_all(cfg["seed"], cfg["trials"], cfg["nmax"],
+                                 check=cfg["check"])
     all_ok = all(r["passed"] for r in results.values())
-    md = _metadata(cfg, seed=int(cfg["seed"]))
+    md = _metadata(cfg, seed=cfg["seed"])
     if args.format == "csv":
         rows = [{"check": k, "passed": v["passed"],
                  "margin": v.get("worst_ratio", v.get("max_discrepancy", ""))}
@@ -420,12 +423,6 @@ def cmd_verify(args):
 
 # -------------------------------------------------------------------- main
 
-def _add_common(sub):
-    sub.add_argument("--out", default=None, help="output path ('-' = stdout)")
-    sub.add_argument("--config", default=None,
-                     help="key=value or JSON config file")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="singwave",
@@ -433,70 +430,35 @@ def build_parser():
                     "singular damping 2*alpha/x on (0,1)")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("spectrum", help="eigenvalues for one alpha")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--kmax", type=int)
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_spectrum)
-
-    sw = subs.add_parser(
-        "sweep", help="eigenvalue trajectories over alpha",
-        description="Eigenvalues over an alpha grid. trajectory_id names "
-                    "each row from its own alpha: real:<r> is the r-th real "
-                    "root from the right, upper:<m>:<k> and lower:<m>:<k> "
-                    "pair k with m = floor(alpha). Output is the same for "
-                    "every --jobs.")
-    sw.add_argument("--alpha-min", dest="alpha_min", type=float)
-    sw.add_argument("--alpha-max", dest="alpha_max", type=float)
-    sw.add_argument("--step", type=float)
-    sw.add_argument("--kmax", type=int)
-    sw.add_argument("--at-integers", dest="at_integers", action="store_const",
-                    const=True, default=None)
-    sw.add_argument("--refine-integers", dest="refine_integers", type=int,
-                    help="extra grid levels at 1e-3, 1e-5, ... of integers")
-    sw.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: $SINGWAVE_JOBS or 1)")
-    sw.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(sw)
-    sw.set_defaults(func=cmd_sweep)
-
-    sm = subs.add_parser("simulate", help="time-domain simulation")
-    sm.add_argument("--alpha", type=float)
-    sm.add_argument("--preset", help="sine:m | bump | mode:k | file:<path>")
-    sm.add_argument("--T", type=float)
-    sm.add_argument("--dt", type=float)
-    sm.add_argument("--N", type=int)
-    sm.add_argument("--project", action="store_const", const=True,
-                    default=None)
-    sm.add_argument("--snapshots", type=int)
-    sm.add_argument("--energy-out", dest="energy_out")
-    _add_common(sm)
-    sm.set_defaults(func=cmd_simulate)
-
-    ex = subs.add_parser("extinction", help="finite-time extinction study")
-    ex.add_argument("--alpha", type=float)
-    ex.add_argument("--preset")
-    ex.add_argument("--project", action="store_const", const=True,
-                    default=None)
-    ex.add_argument("--threshold", type=float)
-    ex.add_argument("--dt", type=float)
-    ex.add_argument("--N", type=int)
-    ex.add_argument("--allow-noninteger", dest="allow_noninteger",
-                    action="store_const", const=True, default=None)
-    _add_common(ex)
-    ex.set_defaults(func=cmd_extinction)
-
-    vf = subs.add_parser("verify", help="inequality verification suite")
-    vf.add_argument("--check", choices=["all", *verify_mod.CHECKS])
-    vf.add_argument("--trials", type=int)
-    vf.add_argument("--seed", type=int)
-    vf.add_argument("--nmax", type=int)
-    vf.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(vf)
-    vf.set_defaults(func=cmd_verify)
+    for command, func, about in (
+            ("spectrum", cmd_spectrum, {"help": "eigenvalues for one alpha"}),
+            ("sweep", cmd_sweep, {
+                "help": "eigenvalue trajectories over alpha",
+                "description": "Eigenvalues over an alpha grid. "
+                "trajectory_id names each row from its own alpha: "
+                "real:<r> is the r-th real root from the right, "
+                "upper:<m>:<k> and lower:<m>:<k> pair k with m = "
+                "floor(alpha). Output is the same for every --jobs."}),
+            ("simulate", cmd_simulate, {"help": "time-domain simulation"}),
+            ("extinction", cmd_extinction,
+             {"help": "finite-time extinction study"}),
+            ("verify", cmd_verify,
+             {"help": "inequality verification suite"})):
+        sub = subs.add_parser(command, **about)
+        for name, (want, _, *more) in _OPTIONS[command].items():
+            how = ({"action": "store_const", "const": True}
+                   if want is bool else {"type": want})
+            sub.add_argument("--" + name.replace("_", "-"), **how,
+                             **dict(*more))
+        if command == "sweep":
+            sub.add_argument("--jobs", type=int, help="worker processes "
+                             "(default: $SINGWAVE_JOBS or 1)")
+        if command in ("spectrum", "sweep", "verify"):
+            sub.add_argument("--format", choices=["csv", "json"],
+                             default="csv")
+        sub.add_argument("--out", help="output path ('-' = stdout)")
+        sub.add_argument("--config", help="key=value or JSON config file")
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -504,7 +466,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code = args.func(args, _effective(args))
         return EXIT_OK if code is None else code
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"singwave: config error: {exc}", file=sys.stderr)

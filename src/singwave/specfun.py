@@ -218,12 +218,19 @@ def _asym_sum_tol(rtol):
 def _asym_value(a, b, z, s1, tail1, s2, tail2):
     """M from the sums of the large-|z| expansion, upper sign for
     Im z >= 0: (value, absolute error estimate), the estimate being the
-    sums' error estimates (_asym_sum) scaled by their prefactors."""
+    sums' error estimates (_asym_sum) scaled by their prefactors. A
+    prefactor past the float range (a Gamma function or a power overflows,
+    or Gamma underflows to zero) gives no estimate: (nan, inf), which no
+    grade accepts, so the element goes on to the next regime or mpmath."""
     eps = 1.0 if z.imag >= 0 else -1.0
-    pref_alg = cmath.exp(1j * math.pi * a * eps) * z ** (-a) * _recip_gamma(b - a)
-    pref_exp = cmath.exp(z) * z ** (a - b) * _recip_gamma(a)
-    value = math.gamma(b) * (pref_alg * s1 + pref_exp * s2)
-    err = math.gamma(b) * (abs(pref_alg) * tail1 + abs(pref_exp) * tail2)
+    try:
+        pref_alg = (cmath.exp(1j * math.pi * a * eps) * z ** (-a)
+                    * _recip_gamma(b - a))
+        pref_exp = cmath.exp(z) * z ** (a - b) * _recip_gamma(a)
+        value = math.gamma(b) * (pref_alg * s1 + pref_exp * s2)
+        err = math.gamma(b) * (abs(pref_alg) * tail1 + abs(pref_exp) * tail2)
+    except ArithmeticError:  # OverflowError, ZeroDivisionError
+        return math.nan, math.inf
     return value, err
 
 

@@ -326,7 +326,11 @@ def asymptotic_eigenvalue(problem, k, branch):
     # Gamma(1+alpha) rather than Gamma(2+alpha): the large-argument
     # expansion of M(1-alpha, 2, .) carries Gamma(1-alpha)/Gamma(1+alpha),
     # and only this constant makes the seed-to-zero error decay.
-    ratio = -math.gamma(1.0 - a) / math.gamma(1.0 + a)
+    try:
+        ratio = -math.gamma(1.0 - a) / math.gamma(1.0 + a)
+    except OverflowError:  # Gamma(1 + alpha) from alpha ~ 170.6 on
+        raise SpectrumError(f"asymptotic seeds need Gamma(1+alpha), past "
+                            f"the float range at alpha={a}") from None
     power = cmath.exp(2.0 * a * cmath.log(-sign * 2j * k * math.pi))
     return (sign * (2 * k + 1 - a) * math.pi * 0.5j
             - 0.5 * cmath.log(ratio * power))

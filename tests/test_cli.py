@@ -100,6 +100,16 @@ class TestSpectrum:
         assert code == 0
         assert "Traceback" not in err
 
+    def test_alpha_past_gamma_range_is_computation_error(self, capsys):
+        # the large-argument expansion's prefactors leave the float range:
+        # its elements go on to mpmath, and the real-axis scan's count
+        # check ends the run
+        code, out, err = run_cli(capsys, "spectrum", "--alpha", "171.5",
+                                 "--kmax", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("singwave: computation error: ")
+
 
 # re/im columns of `spectrum --alpha A --kmax K` (K from GOLDEN_KMAX, else
 # 5), recorded before the real-axis scan moved to kummer_m_array, with
@@ -282,9 +292,9 @@ class TestSweep:
         code = f"""
 import os, sys
 from singwave import cli
-def die(item):
+def die(alphas, kmax):
     os._exit(1)
-cli._sweep_chunk = die
+cli.alpha_sweep = die
 sys.exit(cli.main({list(self._POOLED) + ["--jobs", "2"]!r}))
 """
         proc = _run_python(code, timeout=120)
@@ -500,11 +510,72 @@ class TestVerify:
         assert a == b
         assert a[0] == 0
 
+    @pytest.mark.parametrize("argv", [("--trials", "0"), ("--nmax", "0"),
+                                      ("--trials", "-3", "--check",
+                                       "pairing")])
+    def test_nothing_to_check_is_config_error(self, capsys, argv):
+        # zero witnesses or zero n would pass with nothing checked
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == ("singwave: config error: trials and nmax must be at "
+                       "least 1\n")
+
     def test_unknown_check(self, capsys):
         # argparse rejects the choice itself with the config exit code
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--check", "bogus"])
         assert exc.value.code == 2
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+# per subcommand: cheap flags every run of test_config_and_flag_agree
+# passes, and one value per option, which replaces its flag in the runs
+# that set that option; @TMP is the test's own directory
+_AGREE_BASE = {
+    "spectrum": {"alpha": "1.5", "kmax": "1", "format": "json"},
+    "sweep": {"alpha_min": "1.3", "alpha_max": "1.4", "step": "0.1",
+              "kmax": "1", "format": "json"},
+    "simulate": {"alpha": "2", "T": "0.02", "dt": "0.01", "N": "20",
+                 "snapshots": "2"},
+    "extinction": {"alpha": "2", "N": "40", "dt": "0.02"},
+    "verify": {"check": "gupta", "nmax": "3", "format": "json"},
+}
+_AGREE_CASES = {
+    "spectrum": {"alpha": "2", "kmax": "2", "radius": "30"},
+    "sweep": {"alpha_min": "1.35", "alpha_max": "1.45", "step": "0.05",
+              "kmax": "2", "at_integers": "true", "refine_integers": "1"},
+    "simulate": {"alpha": "1", "preset": "bump", "T": "0.03",
+                 "dt": "0.005", "N": "30", "project": "true",
+                 "snapshots": "3", "energy_out": "@TMP/out.energy"},
+    "extinction": {"alpha": "3", "preset": "bump", "project": "true",
+                   "threshold": "0.5", "dt": "0.04", "N": "60",
+                   "allow_noninteger": "true"},
+    "verify": {"check": "hardy", "trials": "3", "seed": "11",
+               "nmax": "4"},
+}
+
+# every subcommand's options: "<option strings> <type, choices or flag>"
+_OPTION_SET = {
+    "spectrum": "-h/--help flag, --alpha float, --kmax int, --radius float, "
+                "--format csv|json, --out str, --config str",
+    "sweep": "-h/--help flag, --alpha-min float, --alpha-max float, "
+             "--step float, --kmax int, --at-integers flag, "
+             "--refine-integers int, --jobs int, --format csv|json, "
+             "--out str, --config str",
+    "simulate": "-h/--help flag, --alpha float, --preset str, --T float, "
+                "--dt float, --N int, --project flag, --snapshots int, "
+                "--energy-out str, --out str, --config str",
+    "extinction": "-h/--help flag, --alpha float, --preset str, "
+                  "--project flag, --threshold float, --dt float, --N int, "
+                  "--allow-noninteger flag, --out str, --config str",
+    "verify": "-h/--help flag, --check all|hardy|resolvent|gupta|pairing, "
+              "--trials int, --seed int, --nmax int, --format csv|json, "
+              "--out str, --config str",
+}
 
 
 class TestConfig:
@@ -540,6 +611,61 @@ class TestConfig:
                                "--kmax", "1")
         assert code == 2
         assert "SINGWAVE_JOBS" in err
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, cases in _AGREE_CASES.items()
+        for name in cases])
+    def test_config_and_flag_agree(self, capsys, tmp_path, command, name):
+        # the option by flag, by a key=value file (the flag's spelling)
+        # and by a JSON file (its typed value): the same output bytes,
+        # metadata.config included
+        base, cases = _AGREE_BASE[command], _AGREE_CASES[command]
+        assert set(cases) == set(cli._OPTIONS[command])
+        value = cases[name].replace("@TMP", str(tmp_path))
+        argv = [command, "--out", str(tmp_path / "out")]
+        for other, text in base.items():
+            if other != name:
+                argv += [_flag(other), text]
+        want = cli._OPTIONS[command][name][0]
+        key = name.replace("_", "-")
+        typed = True if want is bool else want(value)
+        lines = tmp_path / "conf"
+        lines.write_text(f"# set by the file\n{key} = {value}\n")
+        doc = tmp_path / "conf.json"
+        doc.write_text(json.dumps({name: typed}))
+        runs = []
+        for extra in ([_flag(name)] + ([] if want is bool else [value]),
+                      ["--config", str(lines)], ["--config", str(doc)]):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert code == 0, (extra, err)
+            files = sorted(tmp_path.glob("out*"))
+            runs.append([out, err] + [f.read_bytes() for f in files])
+            for f in files:
+                f.unlink()
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+        if command != "simulate":  # the one without a metadata block
+            config = json.loads(runs[0][2])["metadata"]["config"]
+            assert list(config) == list(cli._OPTIONS[command])
+            assert config[name] == typed
+
+    def test_option_set_is_pinned(self):
+        parser = cli.build_parser()
+        assert [a.option_strings for a in parser._actions
+                if a.option_strings] == [["-h", "--help"], ["--version"]]
+        subs = next(a for a in parser._actions if a.dest == "command")
+        assert list(subs.choices) == list(_OPTION_SET)
+        for command, expected in _OPTION_SET.items():
+            got = []
+            for action in subs.choices[command]._actions:
+                if action.choices:
+                    kind = "|".join(action.choices)
+                elif action.nargs == 0:
+                    kind = "flag"
+                else:
+                    kind = (action.type or str).__name__
+                got.append(f"{'/'.join(action.option_strings)} {kind}")
+            assert ", ".join(got) == expected
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--alpha", "2", "--format", "json"],

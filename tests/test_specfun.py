@@ -327,6 +327,26 @@ class TestKummerMArray:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("rtol", [_CANCEL_RTOL, 1e-8])
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_overflowing_prefactor_goes_to_mpmath(self, rtol, n):
+        # at alpha = 171.5, z^-a passes the float range, and 1/Gamma(b - a)
+        # would: the expansion gives no estimate, and the value is
+        # mpmath's, alike in the scalar, the one-by-one and the lockstep
+        # expansion
+        a, b, z = 1 - 171.5, 2.0, 400 + 300j
+        value = kummer_m(a, b, z, rtol=rtol)
+        assert value == pytest.approx(mp_kummer(a, b, z), rel=1e-12)
+        got = kummer_m_array(a, b, np.full(n, z), rtol=rtol)
+        assert _bits(got) == _bits([value] * n)
+
+    def test_underflowing_gamma_gives_no_estimate(self):
+        # Gamma(-189.5) underflows to zero: 1/Gamma raises
+        # ZeroDivisionError, which is no estimate either
+        value, err = specfun._asym_value(-189.5, -185.5, 40.0 + 0j,
+                                         1.0, 0.0, 1.0, 0.0)
+        assert math.isnan(value) and err == math.inf
+
     def test_a_zero_and_bad_b(self):
         z = np.array([0.5, 3.0 + 2.0j, -5.0])
         ref = [kummer_m(0.0, 2.0, zi) for zi in z]

@@ -614,6 +614,11 @@ class TestAsymptoticSeeds:
         with pytest.raises(Exception):
             asymptotic_eigenvalue(SpectralProblem(2.0), 3, "upper")
 
+    def test_gamma_overflow_is_spectrum_error(self):
+        # Gamma(1 + alpha) passes the float range from alpha ~ 170.6
+        with pytest.raises(spectrum.SpectrumError, match="float range"):
+            asymptotic_eigenvalue(SpectralProblem(171.5), 1, "upper")
+
 
 def _mp_mode(n, mu):
     """The closed form x e^(mu x) L_n^(1)(-2 mu x) in mpmath, with L_n^(1)
