@@ -1,15 +1,16 @@
 """Command-line interface: spectra, parameter sweeps, simulation,
 extinction studies and the verification suite.
 
-Each subcommand's options are declared once, in _OPTIONS: name, type and
-default. The flag is --<name> with "_" written "-"; a --config key is the
-name (with "-" or "_") and is read with the flag's type. Flags override
-config values, which override the defaults. Every subcommand also accepts
---out and --config; spectrum, sweep and verify also --format csv|json, and
-sweep alone --jobs. JSON output carries a metadata block with the package
-version and the effective config.
+Each subcommand's options are declared once, in _OPTIONS: name, type (the
+option's domain) and default. The flag is --<name> with "_" written "-"; a
+--config key is the name (with "-" or "_"). Flags override config values,
+which override the defaults. Every subcommand also accepts --out and
+--config; spectrum, sweep and verify also --format csv|json, and sweep alone
+--jobs. JSON output carries a metadata block: version and effective config.
 
-Outputs are deterministic for identical configs and seeds.
+A ConfigError (an input outside its domain, a bad preset or data file, a
+path that cannot be opened) exits 2, any other exception 1. Outputs are
+deterministic for identical configs and seeds.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ import numpy as np
 
 from . import __version__
 from .data import InitialData, bump_data, mode_data, sine_data
-from .evolution import (EvolutionError, decay_rate, extinction_time,
-                        project_out, projection_condition, simulate)
-from .laplace import LaplaceError, tail_u2
-from .specfun import SpecialFunctionError
-from .spectrum import (SpectralProblem, SpectrumError, alpha_sweep,
-                       find_eigenvalues, integer_n, spectral_abscissa)
+from .evolution import (decay_rate, extinction_time, project_out,
+                        projection_condition, simulate)
+from .laplace import tail_u2
+from .spectrum import (SpectralProblem, alpha_sweep, find_eigenvalues,
+                       integer_n, spectral_abscissa)
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -45,91 +45,108 @@ EXIT_CONFIG = 2
 
 
 class ConfigError(Exception):
-    pass
+    """An input outside its domain, or a file that cannot be used: exit 2."""
+
+
+def _user_file(path, text=None):
+    """Read the file path, or write text to it; a ConfigError on failure."""
+    try:
+        with open(path, "r" if text is None else "w") as fh:
+            return fh.read() if text is None else fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
 
 
 def _load_config(path):
     """Flat key=value lines or a JSON object, as a dict whose keys have
     each "-" written "_"."""
-    with open(path) as fh:
-        text = fh.read().strip()
-    if text.startswith("{"):
-        pairs = json.loads(text).items()
-    else:
-        pairs = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
-            key, _, value = line.partition("=")
-            pairs.append((key.strip(), value.strip()))
-    return {key.replace("-", "_"): value for key, value in pairs}
+    try:
+        text = _user_file(path).strip()
+        if text.startswith("{"):
+            pairs = json.loads(text).items()
+        else:  # a line without "=" has one side, which fails to unpack
+            lines = [line.strip() for line in text.splitlines()]
+            pairs = [[side.strip() for side in line.split("=", 1)]
+                     for line in lines if line and not line.startswith("#")]
+        return {key.replace("-", "_"): value for key, value in pairs}
+    except ValueError:
+        raise ConfigError(f"{path}: not key=value lines or a JSON "
+                          f"object") from None
 
+
+def _checked(kind, test, domain):
+    """An option's type, named domain: kind(text) if test passes it."""
+    def convert(text):
+        if not test(value := kind(text)):
+            raise ValueError(domain)
+        return value
+    convert.__name__ = domain
+    return convert
+
+
+def _at_least(least):
+    return _checked(int, lambda n: n >= least, f"an integer >= {least}")
+
+
+_POSITIVE = _checked(float, lambda x: 0 < x < math.inf,
+                     "positive and finite")
+_CHECKS = ["all", *verify_mod.CHECKS]
+_CHECK = _checked(str, _CHECKS.__contains__, "one of " + ", ".join(_CHECKS))
 
 # Each subcommand's options, in the order metadata.config lists them:
 # name -> (type, default[, further add_argument keywords]). A bool option
-# is a flag that sets True; in a config file 1, true or yes (any case) set
-# it, and any other value clears it.
+# is a flag; in a config file 1, true or yes (any case) set it, any other
+# value clears it. extinction's N // 4, its coarsest level, needs 2 nodes.
 _OPTIONS = {
-    "spectrum": {"alpha": (float, None), "kmax": (int, 5),
-                 "radius": (float, None)},
-    "sweep": {"alpha_min": (float, 1.1), "alpha_max": (float, 2.9),
-              "step": (float, 0.01), "kmax": (int, 3),
+    "spectrum": {"alpha": (_POSITIVE, None), "kmax": (_at_least(1), 5),
+                 "radius": (_POSITIVE, None)},
+    "sweep": {"alpha_min": (_POSITIVE, 1.1), "alpha_max": (_POSITIVE, 2.9),
+              "step": (_POSITIVE, 0.01), "kmax": (_at_least(1), 3),
               "at_integers": (bool, False),
-              "refine_integers": (int, 0, {
+              "refine_integers": (_at_least(0), 0, {
                   "help": "extra grid levels at 1e-3, 1e-5, ... of "
                           "integers"})},
-    "simulate": {"alpha": (float, None),
+    "simulate": {"alpha": (_POSITIVE, None),
                  "preset": (str, "sine:1", {
                      "help": "sine:m | bump | mode:k | file:<path>"}),
-                 "T": (float, 4.0), "dt": (float, 5e-4), "N": (int, 2000),
-                 "project": (bool, False), "snapshots": (int, 21),
-                 "energy_out": (str, None)},
-    "extinction": {"alpha": (float, None), "preset": (str, "sine:1"),
-                   "project": (bool, False), "threshold": (float, 1e-2),
-                   "dt": (float, 5e-4), "N": (int, 2000),
+                 "T": (_POSITIVE, 4.0), "dt": (_POSITIVE, 5e-4),
+                 "N": (_at_least(2), 2000), "project": (bool, False),
+                 "snapshots": (_at_least(1), 21), "energy_out": (str, None)},
+    "extinction": {"alpha": (_POSITIVE, None), "preset": (str, "sine:1"),
+                   "project": (bool, False), "threshold": (_POSITIVE, 1e-2),
+                   "dt": (_POSITIVE, 5e-4), "N": (_at_least(8), 2000),
                    "allow_noninteger": (bool, False)},
-    "verify": {"check": (str, "all",
-                         {"choices": ["all", *verify_mod.CHECKS]}),
-               "trials": (int, 200), "seed": (int, 0), "nmax": (int, 20)},
+    "verify": {"check": (_CHECK, "all", {"choices": _CHECKS}),
+               "trials": (_at_least(1), 200), "seed": (_at_least(0), 0),
+               "nmax": (_at_least(1), 20)},
 }
+
+
+def _typed(name, want, text):
+    """text read with option name's type want; a ConfigError if refused."""
+    if want is bool:
+        return text.lower() in ("1", "true", "yes")
+    try:
+        return want(text)
+    except ValueError:
+        raise ConfigError(f"{name.replace('_', '-')} must be "
+                          f"{want.__name__}, got {text!r}") from None
 
 
 def _effective(args):
     """The subcommand's options: flags over config-file values over
-    defaults. A config value is read as text, as argparse reads a flag's,
-    so a JSON number and its flag give the same value."""
-    options = _OPTIONS[args.command]
-    cfg = {key: default for key, (_, default, *_) in options.items()}
+    defaults, each read from its text with the option's type."""
     loaded = _load_config(args.config) if args.config else {}
-    for key, value in loaded.items():
-        if key not in options:
-            raise ConfigError(f"unknown config key: {key}")
-        want, text = options[key][0], str(value)
-        try:
-            cfg[key] = want(text) if want is not bool \
-                else text.lower() in ("1", "true", "yes")
-        except ValueError:
-            raise ConfigError(f"bad value for {key}: {value!r}")
-    for key in cfg:
-        flag = getattr(args, key)
-        if flag is not None:
-            cfg[key] = flag
+    cfg = {}
+    for key, (want, default, *_) in _OPTIONS[args.command].items():
+        text, flag = loaded.pop(key, None), getattr(args, key)
+        text = text if flag is None else flag
+        cfg[key] = default if text is None else _typed(key, want, str(text))
+    if loaded:  # keys that no option took
+        raise ConfigError(f"unknown config key: {', '.join(loaded)}")
+    if "alpha" in cfg and cfg["alpha"] is None:
+        raise ConfigError("--alpha is required")
     return cfg
-
-
-def _jobs(args):
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("SINGWAVE_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"bad SINGWAVE_JOBS value: {env!r}")
-    return 1
 
 
 def _write(text, out):
@@ -137,8 +154,7 @@ def _write(text, out):
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _user_file(out, text)
 
 
 def _emit(payload_rows, header, metadata, fmt, out):
@@ -162,15 +178,6 @@ def _metadata(config, **extra):
     return md
 
 
-def _positive_alpha(cfg):
-    alpha = cfg["alpha"]
-    if alpha is None:
-        raise ConfigError("--alpha is required")
-    if not 0 < alpha < math.inf:
-        raise ConfigError("alpha must be positive and finite")
-    return alpha
-
-
 def _mode_count(alpha, what):
     """The number n of standing modes at alpha = n + 1; a ConfigError
     naming what needs them unless alpha is integer (integer_n) and n >= 1."""
@@ -181,27 +188,30 @@ def _mode_count(alpha, what):
 
 
 def make_initial_data(preset, alpha):
-    if preset.startswith("sine:"):
-        return sine_data(int(preset.split(":", 1)[1]))
-    if preset == "bump":
-        return bump_data()
-    if preset.startswith("mode:"):
-        k = int(preset.split(":", 1)[1])
-        return mode_data(_mode_count(alpha, "mode:k presets need"), k)
-    if preset.startswith("file:"):
-        path = preset.split(":", 1)[1]
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
-        if rows.shape[1] != 3:
-            raise ConfigError("data file must have columns x,u0,u1")
-        return InitialData.from_grid(rows[:, 0], rows[:, 1], rows[:, 2],
-                                     label=f"file:{path}")
-    raise ConfigError(f"unknown preset {preset!r}")
+    """The initial data a preset names, or a ConfigError."""
+    kind, _, arg = preset.partition(":")
+    try:
+        if kind == "sine":
+            return sine_data(int(arg))
+        if preset == "bump":
+            return bump_data()
+        if kind == "mode":
+            return mode_data(_mode_count(alpha, "mode:k presets need"),
+                             int(arg))
+        if kind == "file":
+            x, u0, u1 = np.loadtxt(_user_file(arg).splitlines(),
+                                   delimiter=",", ndmin=2, unpack=True)
+            return InitialData.from_grid(x, u0, u1, label=preset)
+    except ValueError:
+        pass
+    raise ConfigError(f"preset must be sine:<m>, bump, mode:<k> or file:<csv "
+                      f"of x,u0,u1, x increasing in [0, 1]>, got {preset!r}")
 
 
 # ---------------------------------------------------------------- spectrum
 
 def cmd_spectrum(args, cfg):
-    problem = SpectralProblem(_positive_alpha(cfg))
+    problem = SpectralProblem(cfg["alpha"])
     evs = find_eigenvalues(problem, cfg["kmax"],
                            search_radius=cfg["radius"])
     branch_order = {"real": 0, "upper": 1, "lower": 2}
@@ -221,9 +231,8 @@ def cmd_spectrum(args, cfg):
 
 def _sweep_grid(cfg):
     a0, a1, step = cfg["alpha_min"], cfg["alpha_max"], cfg["step"]
-    if not (0 < a0 < a1 < math.inf and 0 < step < math.inf):
-        raise ConfigError("need 0 < alpha-min < alpha-max < inf and "
-                          "0 < step < inf")
+    if not a0 < a1:
+        raise ConfigError("need alpha-min < alpha-max")
     count = int(round((a1 - a0) / step))
     grid = [a0 + i * step for i in range(count + 1) if a0 + i * step <= a1 + 1e-12]
     for m in range(math.ceil(a0), math.floor(a1) + 1):
@@ -241,7 +250,7 @@ def _fork_map(fn, items):
     and message of the exception it raised, back through a pipe; they are
     read in item order, so the exception raised here is the one a serial
     run would raise. A child that ends without its result is a
-    SpectrumError."""
+    RuntimeError."""
     children = []  # (pid, read end) of the children not yet reaped
     try:
         for item in items:
@@ -269,7 +278,7 @@ def _fork_map(fn, items):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             os.close(children.pop(0)[1])
             if code != 0:
-                raise SpectrumError(f"sweep worker {i + 1} of {len(items)} "
+                raise RuntimeError(f"sweep worker {i + 1} of {len(items)} "
                                     f"ended without a result (exit code "
                                     f"{code})")
             out = pickle.loads(payload)
@@ -289,7 +298,7 @@ def _fork_map(fn, items):
 
 def cmd_sweep(args, cfg):
     grid = _sweep_grid(cfg)
-    jobs = _jobs(args)
+    jobs = _typed("jobs", _at_least(1), args.jobs)
     kmax = cfg["kmax"]
     if jobs > 1 and len(grid) > 2 * jobs:
         n = len(grid)
@@ -331,13 +340,12 @@ def _write_energy(run, out):
 
 
 def cmd_simulate(args, cfg):
-    alpha = _positive_alpha(cfg)
     if cfg["project"]:
-        n = _mode_count(alpha, "--project requires")
-    data = make_initial_data(cfg["preset"], alpha)
+        n = _mode_count(cfg["alpha"], "--project requires")
+    data = make_initial_data(cfg["preset"], cfg["alpha"])
     if cfg["project"]:
         data = project_out(data, n)
-    run = simulate(alpha, data, cfg["T"], cfg["dt"], N=cfg["N"],
+    run = simulate(cfg["alpha"], data, cfg["T"], cfg["dt"], N=cfg["N"],
                    n_snapshots=cfg["snapshots"])
     _write_snapshots(run, args.out)
     if cfg["energy_out"]:
@@ -347,7 +355,7 @@ def cmd_simulate(args, cfg):
 # -------------------------------------------------------------- extinction
 
 def cmd_extinction(args, cfg):
-    alpha = _positive_alpha(cfg)
+    alpha = cfg["alpha"]
     n = integer_n(alpha)
     integer = n is not None
     if not integer and not cfg["allow_noninteger"]:
@@ -403,9 +411,6 @@ def cmd_extinction(args, cfg):
 # ------------------------------------------------------------------ verify
 
 def cmd_verify(args, cfg):
-    # no trial or no n would pass with nothing checked
-    if min(cfg["trials"], cfg["nmax"]) < 1:
-        raise ConfigError("trials and nmax must be at least 1")
     results = verify_mod.run_all(cfg["seed"], cfg["trials"], cfg["nmax"],
                                  check=cfg["check"])
     all_ok = all(r["passed"] for r in results.values())
@@ -445,14 +450,15 @@ def build_parser():
             ("verify", cmd_verify,
              {"help": "inequality verification suite"})):
         sub = subs.add_parser(command, **about)
+        # flags are kept as text, for _effective to read with their type
         for name, (want, _, *more) in _OPTIONS[command].items():
             how = ({"action": "store_const", "const": True}
-                   if want is bool else {"type": want})
+                   if want is bool else {})
             sub.add_argument("--" + name.replace("_", "-"), **how,
                              **dict(*more))
         if command == "sweep":
-            sub.add_argument("--jobs", type=int, help="worker processes "
-                             "(default: $SINGWAVE_JOBS or 1)")
+            sub.add_argument("--jobs", default="1",
+                             help="worker processes, at least 1 (default 1)")
         if command in ("spectrum", "sweep", "verify"):
             sub.add_argument("--format", choices=["csv", "json"],
                              default="csv")
@@ -463,16 +469,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args, _effective(args))
         return EXIT_OK if code is None else code
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"singwave: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpectrumError, LaplaceError, EvolutionError,
-            SpecialFunctionError) as exc:
+    except Exception as exc:
         print(f"singwave: computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

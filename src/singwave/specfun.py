@@ -71,11 +71,7 @@ _E1_SERIES_CANCEL = 4.0
 _E1_MAX_ITER = 1000
 
 
-class SpecialFunctionError(Exception):
-    """Base class for special-function evaluation failures."""
-
-
-class ConvergenceError(SpecialFunctionError):
+class ConvergenceError(Exception):
     """Series or continued fraction did not converge within the budget."""
 
     def __init__(self, message, z, terms):

@@ -223,13 +223,20 @@ class TestSweep:
         assert 2.0 not in alphas
 
     def test_bad_range(self, capsys):
-        for argv in (("--alpha-min", "3", "--alpha-max", "2"),
-                     ("--alpha-max", "inf"), ("--alpha-min", "nan"),
-                     ("--step", "inf"), ("--step", "nan")):
+        for argv, message in (
+                (("--alpha-min", "3", "--alpha-max", "2"),
+                 "need alpha-min < alpha-max"),
+                (("--alpha-max", "inf"),
+                 "alpha-max must be positive and finite, got 'inf'"),
+                (("--alpha-min", "nan"),
+                 "alpha-min must be positive and finite, got 'nan'"),
+                (("--step", "inf"),
+                 "step must be positive and finite, got 'inf'"),
+                (("--step", "nan"),
+                 "step must be positive and finite, got 'nan'")):
             code, _, err = run_cli(capsys, "sweep", *argv)
             assert code == 2, argv
-            assert "config error: need 0 < alpha-min" in err
-            assert "Traceback" not in err
+            assert err == f"singwave: config error: {message}\n"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_dropped_point_warned(self, capsys, monkeypatch, jobs):
@@ -263,12 +270,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("exc, code", [
         (specfun.ConvergenceError("series stalled", 1.4, 7), 1),
-        (ValueError("bad alpha"), 2)])
+        (ValueError("bad alpha"), 1), (OverflowError("math range error"), 1)])
     def test_worker_error_matches_serial(self, capsys, monkeypatch, exc,
                                          code):
         # both chunks raise; the run reports the first chunk's exception,
-        # as the serial run does, with its type's exit code and its message
-        # (ConvergenceError's constructor does not take its own message)
+        # as the serial run does, with its message and exit code 1: the
+        # inputs were accepted, whatever the type (ConvergenceError's
+        # constructor does not take its own message)
         sweep = cli.alpha_sweep
 
         def failing(alphas, kmax):
@@ -283,7 +291,7 @@ class TestSweep:
         serial = run_cli(capsys, *self._POOLED, "--jobs", "1")
         pooled = run_cli(capsys, *self._POOLED, "--jobs", "2")
         assert serial[0] == code
-        assert str(exc) in serial[2]
+        assert serial[2] == f"singwave: computation error: {exc}\n"
         assert pooled == serial
 
     def test_dead_worker_is_computation_error(self):
@@ -518,14 +526,81 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
-        assert err == ("singwave: config error: trials and nmax must be at "
-                       "least 1\n")
+        assert err == (f"singwave: config error: {argv[0][2:]} must be an "
+                       f"integer >= 1, got {argv[1]!r}\n")
 
     def test_unknown_check(self, capsys):
         # argparse rejects the choice itself with the config exit code
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--check", "bogus"])
         assert exc.value.code == 2
+
+
+# inputs outside their domain, bad presets and data files, and paths that
+# cannot be opened: @TMP is the test's directory, whose text.csv holds words
+# and whose config files set radius = nan, check = bogus and broken JSON.
+# An infinite radius is test_infinite_radius_exits_at_once's, in a child
+_BAD_INPUTS = [
+    ("spectrum", "--alpha", "2.5", "--radius", "nan"),
+    ("spectrum", "--alpha", "2.5", "--radius", "-1"),
+    ("spectrum", "--config", "@TMP/radius.conf"),
+    ("spectrum", "--alpha", "2", "--config", "@TMP/broken.json"),
+    ("spectrum", "--alpha", "2", "--config", "@TMP"),
+    ("spectrum", "--alpha", "2", "--out", "@TMP"),
+    ("spectrum", "--alpha", "2", "--out", "/proc/version"),
+    ("simulate", "--alpha", "2", "--T", "-1"),
+    ("simulate", "--alpha", "2", "--T", "nan"),
+    ("simulate", "--alpha", "2", "--snapshots", "-3"),
+    ("simulate", "--alpha", "2", "--preset", "sine:x"),
+    ("simulate", "--alpha", "2", "--preset", "file:@TMP/text.csv"),
+    ("simulate", "--alpha", "2", "--preset", "file:@TMP/missing.csv"),
+    ("simulate", "--alpha", "2", "--T", "0.01", "--out", "@TMP"),
+    ("simulate", "--alpha", "2", "--T", "0.01", "--energy-out", "@TMP"),
+    ("extinction", "--alpha", "2", "--N", "7"),
+    ("verify", "--seed", "-1"),
+    ("verify", "--config", "@TMP/check.conf"),
+    ("sweep", "--jobs", "0"),
+    ("sweep", "--jobs", "-5"),
+    ("sweep", "--refine-integers", "-1"),
+]
+# fragments of the messages that numpy and Python gave for such inputs
+_FOREIGN_TEXT = ("Traceback", "Error", "Errno", "negative dimensions",
+                 "NaN to integer", "Number of samples", "non-negative integer",
+                 "invalid literal", "could not convert", "Expecting")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", _BAD_INPUTS)
+    def test_bad_input_is_config_error(self, capsys, tmp_path, argv):
+        (tmp_path / "text.csv").write_text("x,u0,u1\nsome,words,here\n")
+        (tmp_path / "radius.conf").write_text("alpha = 2.5\nradius = nan\n")
+        (tmp_path / "check.conf").write_text("check = bogus\n")
+        (tmp_path / "broken.json").write_text('{"alpha": }')
+        argv = [a.replace("@TMP", str(tmp_path)) for a in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("singwave: config error: ")
+        assert err.count("\n") == 1
+        assert not any(text in err for text in _FOREIGN_TEXT), err
+
+    def test_infinite_radius_exits_at_once(self):
+        # an infinite radius once made spectrum count asymptotic pairs
+        # without end; run in a child, so that a regression fails the test
+        # rather than hang the suite
+        argv = ["spectrum", "--alpha", "2.5", "--radius", "inf"]
+        proc = _run_python(f"import sys; from singwave import cli; "
+                           f"sys.exit(cli.main({argv!r}))", timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == ("singwave: config error: radius must be "
+                               "positive and finite, got 'inf'\n")
+
+    def test_value_error_in_computation_is_computation_error(self, capsys):
+        # alpha = 1e300 is accepted, and is an integer: numpy refuses the
+        # size of its Laguerre poles' matrix with a ValueError
+        code, out, err = run_cli(capsys, "spectrum", "--alpha", "1e300")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("singwave: computation error: ")
 
 
 def _flag(name):
@@ -558,23 +633,25 @@ _AGREE_CASES = {
                "nmax": "4"},
 }
 
-# every subcommand's options: "<option strings> <type, choices or flag>"
+# every subcommand's options: "<option strings> <type, choices or flag>";
+# a table option's type is its declared domain, which reads the flag's text
+_P, _N = "positive and finite", "an integer >="
 _OPTION_SET = {
-    "spectrum": "-h/--help flag, --alpha float, --kmax int, --radius float, "
+    "spectrum": f"-h/--help flag, --alpha {_P}, --kmax {_N} 1, --radius {_P}, "
                 "--format csv|json, --out str, --config str",
-    "sweep": "-h/--help flag, --alpha-min float, --alpha-max float, "
-             "--step float, --kmax int, --at-integers flag, "
-             "--refine-integers int, --jobs int, --format csv|json, "
+    "sweep": f"-h/--help flag, --alpha-min {_P}, --alpha-max {_P}, "
+             f"--step {_P}, --kmax {_N} 1, --at-integers flag, "
+             f"--refine-integers {_N} 0, --jobs str, --format csv|json, "
              "--out str, --config str",
-    "simulate": "-h/--help flag, --alpha float, --preset str, --T float, "
-                "--dt float, --N int, --project flag, --snapshots int, "
+    "simulate": f"-h/--help flag, --alpha {_P}, --preset str, --T {_P}, "
+                f"--dt {_P}, --N {_N} 2, --project flag, --snapshots {_N} 1, "
                 "--energy-out str, --out str, --config str",
-    "extinction": "-h/--help flag, --alpha float, --preset str, "
-                  "--project flag, --threshold float, --dt float, --N int, "
+    "extinction": f"-h/--help flag, --alpha {_P}, --preset str, "
+                  f"--project flag, --threshold {_P}, --dt {_P}, --N {_N} 8, "
                   "--allow-noninteger flag, --out str, --config str",
-    "verify": "-h/--help flag, --check all|hardy|resolvent|gupta|pairing, "
-              "--trials int, --seed int, --nmax int, --format csv|json, "
-              "--out str, --config str",
+    "verify": f"-h/--help flag, --check all|hardy|resolvent|gupta|pairing, "
+              f"--trials {_N} 1, --seed {_N} 0, --nmax {_N} 1, "
+              "--format csv|json, --out str, --config str",
 }
 
 
@@ -603,14 +680,6 @@ class TestConfig:
         code, _, err = run_cli(capsys, "spectrum", "--config", str(cfg),
                                "--alpha", "2")
         assert code == 2
-
-    def test_jobs_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SINGWAVE_JOBS", "not-a-number")
-        code, _, err = run_cli(capsys, "sweep", "--alpha-min", "1.3",
-                               "--alpha-max", "1.4", "--step", "0.1",
-                               "--kmax", "1")
-        assert code == 2
-        assert "SINGWAVE_JOBS" in err
 
     @pytest.mark.parametrize("command, name", [
         (command, name) for command, cases in _AGREE_CASES.items()
@@ -657,13 +726,15 @@ class TestConfig:
         assert list(subs.choices) == list(_OPTION_SET)
         for command, expected in _OPTION_SET.items():
             got = []
+            options = cli._OPTIONS[command]
             for action in subs.choices[command]._actions:
                 if action.choices:
                     kind = "|".join(action.choices)
                 elif action.nargs == 0:
                     kind = "flag"
                 else:
-                    kind = (action.type or str).__name__
+                    assert action.type is None
+                    kind = options.get(action.dest, (str,))[0].__name__
                 got.append(f"{'/'.join(action.option_strings)} {kind}")
             assert ", ".join(got) == expected
 
