@@ -9,8 +9,8 @@ which override the defaults. Every subcommand also accepts --out and
 --jobs. JSON output carries a metadata block: version and effective config.
 
 A ConfigError (an input outside its domain, a bad preset or data file, a
-path that cannot be opened) exits 2, any other exception 1. Outputs are
-deterministic for identical configs and seeds.
+path that cannot be opened, checked before any work) exits 2, any other
+exception 1. Outputs are deterministic for identical configs and seeds.
 """
 
 from __future__ import annotations
@@ -48,13 +48,24 @@ class ConfigError(Exception):
     """An input outside its domain, or a file that cannot be used: exit 2."""
 
 
-def _user_file(path, text=None):
+def _user_file(path, text=None, mode="w"):
     """Read the file path, or write text to it; a ConfigError on failure."""
     try:
-        with open(path, "r" if text is None else "w") as fh:
+        with open(path, "r" if text is None else mode) as fh:
             return fh.read() if text is None else fh.write(text)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from None
+
+
+def _writable(path):
+    """A ConfigError before any work unless the output path (None or '-':
+    stdout) opens for appending; a file this creates is removed again."""
+    if path in (None, "-"):
+        return
+    existed = os.path.lexists(path)
+    _user_file(path, "", "a")
+    if not existed:
+        os.remove(path)
 
 
 def _load_config(path):
@@ -471,7 +482,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args, _effective(args))
+        cfg = _effective(args)
+        # an empty --energy-out writes no energy file
+        for path in (args.out, cfg.get("energy_out") or None):
+            _writable(path)
+        code = args.func(args, cfg)
         return EXIT_OK if code is None else code
     except ConfigError as exc:
         print(f"singwave: config error: {exc}", file=sys.stderr)

@@ -267,36 +267,47 @@ def _regimes(rtol, far):
     return ("asymptotic",) if far else ("series", "asymptotic")
 
 
-def kummer_m(a, b, z, *, rtol=_CANCEL_RTOL):
+def kummer_m(a, b, z, *, rtol=_CANCEL_RTOL, atol=0.0):
     """Kummer's confluent hypergeometric function M(a, b, z).
 
     a and b real, z complex; b must not be a non-positive integer. Relative
     accuracy ~1e-12 for |z| <= 200 at the default rtol. A double-precision
-    result is accepted when its estimated rounding error is at most
-    rtol |M|: _CANCEL_RTOL for values, _PHASE_RTOL where only the phase is
-    read. Re z < -1 goes through the Kummer transformation; then the power
-    series and the large-argument expansion are tried in the order that
-    _regimes chooses from the grade and z before anything is summed, and
-    mpmath.hyp1f1 is the fallback where neither passes (near zeros of M,
-    and in the cancellation window at large |Im z|). Its value is exact at
-    both grades and kept for the next few calls, so a z taken first at the
-    phase grade and then at the value grade reaches mpmath once.
-    kummer_m_array evaluates the same function over a numpy array.
+    result is accepted when its estimated error is at most
+    max(rtol |M|, atol): rtol is _CANCEL_RTOL for values, _PHASE_RTOL where
+    only the phase is read; atol, for Newton next to a zero, bounds the
+    error absolutely. Re z < -1 goes through the Kummer transformation (the
+    inner bound atol / |e^z|); then the power series and the large-argument
+    expansion are tried in the order that _regimes chooses from the grade
+    and z before anything is summed, and with atol > 0 at the phase grade
+    the expansion's full sums after them. mpmath.hyp1f1 is the fallback
+    where none passes (near zeros of M, and in the cancellation window at
+    large |Im z|). Its value is exact at both grades and kept for the next
+    few calls, so a z taken first at the phase grade and then at the value
+    grade reaches mpmath once. kummer_m_array evaluates the same function
+    over a numpy array, at atol = 0.
     """
     if b <= 0 and b == int(b):
         raise ValueError(f"b={b} is a non-positive integer")
     z = complex(z)
     if z.real < _KUMMER_TRANSFORM_RE:
-        return cmath.exp(z) * kummer_m(b - a, b, -z, rtol=rtol)
+        scale = cmath.exp(z)
+        # e^z is 0 from Re z < -745
+        inner = atol and (atol / abs(scale) if scale else math.inf)
+        return scale * kummer_m(b - a, b, -z, rtol=rtol, atol=inner)
     if a == 0.0:
         return 1.0 + 0.0j
-    for regime in _regimes(rtol, not _near(rtol, abs(z), z.real)):
+    tries = [(regime, rtol)
+             for regime in _regimes(rtol, not _near(rtol, abs(z), z.real))]
+    if atol > 0 and rtol >= _PHASE_RTOL and abs(z) >= _ASYMPTOTIC_MIN_ABS:
+        # the phase grade's truncated sums cannot meet a root-scale atol
+        tries.append(("asymptotic", _CANCEL_RTOL))
+    for regime, grade in tries:
         if regime == "series":
             value, max_mag, _terms = _kummer_series_double(a, b, z)
             err = 2.3e-16 * max_mag  # the cancellation estimate
         else:
-            value, err = _kummer_asymptotic(a, b, z, rtol)
-        if err <= rtol * max(abs(value), 1e-300):
+            value, err = _kummer_asymptotic(a, b, z, grade)
+        if err <= max(rtol * max(abs(value), 1e-300), atol):
             return value
     return _kummer_series_highprec(a, b, z)
 

@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lapack import flapack
-from .specfun import (_PHASE_RTOL, ConvergenceError, kummer_m,
-                      kummer_m_array, kummer_m_dz, laguerre)
+from .specfun import (_CANCEL_RTOL, _PHASE_RTOL, ConvergenceError,
+                      kummer_m, kummer_m_array, kummer_m_dz, laguerre)
 
 INTEGER_ALPHA_TOL = 1e-14
 
@@ -36,6 +36,11 @@ _NEWTON_MAX_STEP = math.pi
 # the next iterate by r |step|, so only the last steps need F's last digits
 _NEWTON_VALUE_STEP = 1e-7
 _RESIDUAL_TOL = 1e-9
+# Newton's absolute bound on F's error moves the root by at most
+# _NEWTON_ROOT_ERR (1 + |lambda|), below one ulp, and |F| by at most
+# _NEWTON_RES_ERR _RESIDUAL_TOL
+_NEWTON_ROOT_ERR = 1e-16
+_NEWTON_RES_ERR = 1e-2
 _BOUNDARY_TOL = 1e-9
 # count_zeros' perturbed retries after a zero on the boundary, and
 # _recover_missed's rounds of subdivision
@@ -91,9 +96,9 @@ class SpectralProblem:
     char_values holds F(lambda) by the exact lambda for this problem alone,
     so that each lambda is evaluated once. phase_values holds, in the same
     way, the values taken at the phase grade (_PHASE_RTOL): the winding
-    walk's samples and Newton's iterates while its steps are long. They
-    steer Newton's early steps but never its last step, an eigenvalue's
-    residual or a zero count's result.
+    walk's samples. They may steer Newton's early steps but never its last
+    step, an eigenvalue's residual or a zero count's result. newton_values
+    holds Newton's own values, which may meet only an absolute bound.
     """
 
     alpha: float
@@ -103,6 +108,8 @@ class SpectralProblem:
                               compare=False, repr=False)
     phase_values: dict = field(init=False, default_factory=dict,
                                compare=False, repr=False)
+    newton_values: dict = field(init=False, default_factory=dict,
+                                compare=False, repr=False)
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -167,9 +174,9 @@ def char_fn(problem, lam):
 
 
 def _phase_fn(problem, lam):
-    """F(lambda) where its phase, or a long Newton step, is all that is
-    read: the value from problem.char_values if there is one, else at the
-    phase grade through problem.phase_values."""
+    """F(lambda) where its phase is all that is read: the value from
+    problem.char_values if there is one, else at the phase grade through
+    problem.phase_values."""
     f = problem.char_values.get(lam)
     if f is None:
         f = problem.phase_values.get(lam)
@@ -202,42 +209,60 @@ def char_fn_dlam(problem, lam):
                               rtol=_PHASE_RTOL)
 
 
+def _newton_fn(problem, lam, rtol, atol):
+    """F at lambda for Newton, at rtol's grade within atol: at the phase
+    grade from the problem's phase_values if it holds lambda, else through
+    its newton_values, which only Newton reads."""
+    f = problem.phase_values.get(lam) if rtol == _PHASE_RTOL else None
+    if f is None:
+        f = problem.newton_values.get((lam, rtol))
+        if f is None:
+            f = problem.newton_values[lam, rtol] = kummer_m(
+                1.0 - problem.alpha, 2.0, -2.0 * lam, rtol=rtol, atol=atol)
+    return f
+
+
 def _newton(problem, seed):
     """Damped Newton on the characteristic function, each step at most
     _NEWTON_MAX_STEP long.
 
-    F is taken at the phase grade (_phase_fn) while the step it gives is at
-    least _NEWTON_VALUE_STEP (1 + |lambda|); below that F is taken again at
-    the same lambda at the value grade (char_fn), and so is every later F:
-    the halving tests, the stopping test and the returned residual. A step
-    from a phase-grade F never ends the iteration.
+    F is taken at the phase grade while the step it gives is at least
+    _NEWTON_VALUE_STEP (1 + |lambda|); below that F is taken again at the
+    same lambda at the value grade, and so is every later F: the halving
+    tests, the stopping test and the returned residual. A step from a
+    phase-grade F never ends the iteration. Every F after the seed's is
+    also accepted within atol, an error that moves the root by at most
+    _NEWTON_ROOT_ERR (1 + |lambda|): next to a zero |F| is tiny against
+    the sums, and no relative bound is met in double precision.
     """
     lam = complex(seed)
-    fn = _phase_fn
-    f = fn(problem, lam)
+    rtol = _PHASE_RTOL
+    f = _newton_fn(problem, lam, rtol, 0.0)
     for _ in range(_NEWTON_MAX_ITER):
         df = char_fn_dlam(problem, lam)
         if df == 0:
             raise NewtonError(seed, "vanishing derivative")
+        atol = min(_NEWTON_RES_ERR * _RESIDUAL_TOL,
+                   _NEWTON_ROOT_ERR * abs(df) * (1.0 + abs(lam)))
         step = f / df
-        if fn is _phase_fn and (abs(step)
-                                < _NEWTON_VALUE_STEP * (1.0 + abs(lam))):
-            fn = char_fn
-            f = fn(problem, lam)
+        if rtol == _PHASE_RTOL and (abs(step)
+                                    < _NEWTON_VALUE_STEP * (1.0 + abs(lam))):
+            rtol = _CANCEL_RTOL
+            f = _newton_fn(problem, lam, rtol, atol)
             step = f / df
         if abs(step) > _NEWTON_MAX_STEP:
             step *= _NEWTON_MAX_STEP / abs(step)
         lam_new = lam - step
-        f_new = fn(problem, lam_new)
+        f_new = _newton_fn(problem, lam_new, rtol, atol)
         # halve on overshoot
         halvings = 0
         while abs(f_new) > abs(f) and halvings < 20:
             step *= 0.5
             lam_new = lam - step
-            f_new = fn(problem, lam_new)
+            f_new = _newton_fn(problem, lam_new, rtol, atol)
             halvings += 1
-        if fn is char_fn and (abs(lam_new - lam)
-                              < _NEWTON_TOL * (1.0 + abs(lam_new))):
+        if rtol == _CANCEL_RTOL and (abs(lam_new - lam)
+                                     < _NEWTON_TOL * (1.0 + abs(lam_new))):
             return lam_new, abs(f_new)
         lam, f = lam_new, f_new
     raise NewtonError(seed)

@@ -114,8 +114,13 @@ class TestSpectrum:
 # re/im columns of `spectrum --alpha A --kmax K` (K from GOLDEN_KMAX, else
 # 5), recorded before the real-axis scan moved to kummer_m_array, with
 # Newton from each bracket's secant point, and the high-precision fallback
-# to mpmath.hyp1f1; both changes must leave them byte-identical. 0.694473 was recorded before Newton took its long
+# to mpmath.hyp1f1; 0.694473 was recorded before Newton took its long
 # steps at the phase grade; its pairs reach |z| ~ 126, the large-|z| band.
+# Those changes left them byte-identical. Newton's last steps now accept a
+# value of F by the root error it implies, about one ulp, so each value is
+# held to GOLDEN_RTOL |lambda| of its record, and each one that moved also
+# to GOLDEN_RTOL of the 50-digit mpmath root.
+GOLDEN_RTOL = 4 * 2.0 ** -52
 GOLDEN_KMAX = {"0.694473": 20}
 GOLDEN_SPECTRA = {
     "0.694473": """\
@@ -198,8 +203,21 @@ def test_golden_spectrum(capsys, alpha):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "index,branch,re,im,residual,seed_source"
-    got = "".join(",".join(l.split(",")[:4]) + "\n" for l in lines[1:])
-    assert got == GOLDEN_SPECTRA[alpha]
+    want = [l.split(",") for l in GOLDEN_SPECTRA[alpha].splitlines()]
+    got = [l.split(",")[:4] for l in lines[1:]]
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    for g, w in zip(got, want):
+        lam = complex(float(g[2]), float(g[3]))
+        ref = complex(float(w[2]), float(w[3]))
+        assert abs(lam - ref) <= GOLDEN_RTOL * abs(ref), (g, w)
+        if lam != ref:
+            with mpmath.workdps(50):
+                a = 1 - mpmath.mpf(float(alpha))
+                root = complex(mpmath.findroot(
+                    lambda l: mpmath.hyp1f1(a, 2, -2 * l), mpmath.mpc(lam),
+                    df=lambda l: -a * mpmath.hyp1f1(a + 1, 3, -2 * l),
+                    solver="newton"))
+            assert abs(lam - root) <= GOLDEN_RTOL * abs(root), (g, root)
 
 
 class TestSweep:
@@ -601,6 +619,62 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("singwave: computation error: ")
+
+
+# each subcommand with cheap arguments, and the module and name of the
+# function it computes with
+_COMPUTE = {
+    "spectrum": (["--alpha", "2.5", "--kmax", "1"], cli,
+                 "find_eigenvalues"),
+    "sweep": (["--alpha-min", "1.3", "--alpha-max", "1.4", "--step", "0.1",
+               "--kmax", "1"], cli, "alpha_sweep"),
+    "simulate": (["--alpha", "2", "--T", "0.02", "--dt", "0.01", "--N",
+                  "20"], cli, "simulate"),
+    "extinction": (["--alpha", "2", "--N", "40", "--dt", "0.02"], cli,
+                   "simulate"),
+    "verify": (["--check", "gupta", "--nmax", "3"], cli.verify_mod,
+               "run_all"),
+}
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is refused before the work,
+    and an existing file is written only once the work is done."""
+
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--out") for command in _COMPUTE),
+        ("simulate", "--energy-out")])
+    def test_unusable_path_refused_before_work(self, capsys, monkeypatch,
+                                               tmp_path, command, flag):
+        argv, module, name = _COMPUTE[command]
+        calls = []
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: calls.append(a) or 1 / 0)
+        for path in (str(tmp_path), "/proc/version",
+                     str(tmp_path / "missing" / "out")):
+            code, out, err = run_cli(capsys, command, *argv, flag, path)
+            assert code == 2, (path, err)
+            assert err.startswith(f"singwave: config error: {path}: ")
+            assert err.count("\n") == 1
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_file_kept_when_work_fails(self, capsys, monkeypatch,
+                                                tmp_path):
+        old, new = tmp_path / "old.snap", tmp_path / "new.energy"
+        old.write_text("kept\n")
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("failed")
+
+        monkeypatch.setattr(cli, "simulate", failing)
+        argv = _COMPUTE["simulate"][0]
+        code, _, err = run_cli(capsys, "simulate", *argv, "--out", str(old),
+                               "--energy-out", str(new))
+        assert code == 1
+        assert err == "singwave: computation error: failed\n"
+        assert old.read_text() == "kept\n"
+        assert not new.exists()
 
 
 def _flag(name):

@@ -125,6 +125,38 @@ class TestKummerM:
         assert abs(kummer_m_dz(a, b, z) - fd) < 1e-8
 
 
+class TestAbsoluteBound:
+    """kummer_m's atol: next to a zero of M, where double precision meets
+    no relative bound, the large-argument expansion is accepted by its
+    absolute error estimate, at both grades and under the Kummer
+    transformation; at atol = 0 the same call reaches mpmath."""
+
+    # a zero of M(A, 2, z) at |z| = 63 (z = -2 lambda, lambda pair 10 of
+    # the spectrum at alpha = 0.694473), rounded to a double; the full-sum
+    # expansion estimates its error there at 1.5e-16
+    A = 1 - 0.694473
+    Z = -2 * complex(-3.4643341935911955, 31.347131294393243)
+
+    @pytest.mark.parametrize("rtol", [_CANCEL_RTOL, _PHASE_RTOL])
+    @pytest.mark.parametrize("transformed", [False, True])
+    def test_expansion_accepted_next_to_a_zero(self, monkeypatch, rtol,
+                                               transformed):
+        # M(2 - A, 2, -Z) = e^-Z M(A, 2, Z): the transformed call's inner
+        # bound is atol / |e^-Z|
+        a, z = (2.0 - self.A, -self.Z) if transformed else (self.A, self.Z)
+        atol = 2e-16 * abs(cmath.exp(z) if transformed else 1.0)
+        calls = []
+        high = specfun._kummer_series_highprec
+        monkeypatch.setattr(specfun, "_kummer_series_highprec",
+                            lambda *args: calls.append(args) or high(*args))
+        ref = mp_kummer(a, 2.0, z)
+        kummer_m(a, 2.0, z, rtol=rtol)
+        assert len(calls) == 1
+        value = kummer_m(a, 2.0, z, rtol=rtol, atol=atol)
+        assert len(calls) == 1
+        assert abs(value - ref) <= atol
+
+
 class TestKummerProperties:
     """Identities of M checked on kummer_m alone, without an mpmath oracle,
     across the series, asymptotic and high-precision regimes."""

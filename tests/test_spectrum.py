@@ -1,6 +1,7 @@
 """Spectrum tests: characteristic function, winding counts, eigenvalue
 search paths, eigenfunctions, sweeps."""
 
+import cmath
 import math
 import pickle
 from unittest import mock
@@ -297,20 +298,23 @@ class TestScipyOracles:
 class TestCharValues:
     def test_each_lambda_evaluated_once(self, monkeypatch):
         # below alpha = 1 there is no real-axis scan, so every evaluation
-        # of F in the solve goes through the problem's two caches, and
-        # each lambda is evaluated at most once per grade
+        # of F in the solve goes through the problem's three caches, and
+        # each cache evaluates a lambda at most once per grade. Only
+        # Newton's calls carry an absolute bound, and their values stay in
+        # newton_values, which nothing but Newton reads
         p = SpectralProblem(0.7)
         a = 1.0 - p.alpha
-        seen = []
+        seen = []  # (z, rtol, atol)
 
-        def scalar(aa, b, z, rtol=_CANCEL_RTOL):
+        def scalar(aa, b, z, rtol=_CANCEL_RTOL, atol=0.0):
             if (aa, b) == (a, 2.0):
-                seen.append((complex(z), rtol))
-            return kummer_m(aa, b, z, rtol=rtol)
+                seen.append((complex(z), rtol, atol))
+            return kummer_m(aa, b, z, rtol=rtol, atol=atol)
 
-        def array(aa, b, z, rtol=_CANCEL_RTOL):
+        def array(aa, b, z, rtol=_CANCEL_RTOL, **kwargs):
+            assert not kwargs
             if (aa, b) == (a, 2.0):
-                seen.extend((zi, rtol) for zi in np.ravel(z).tolist())
+                seen.extend((zi, rtol, 0.0) for zi in np.ravel(z).tolist())
             return kummer_m_array(aa, b, z, rtol=rtol)
 
         kummer_m, kummer_m_array = spectrum.kummer_m, spectrum.kummer_m_array
@@ -318,25 +322,29 @@ class TestCharValues:
         monkeypatch.setattr(spectrum, "kummer_m_array", array)
         evs = find_eigenvalues(p, 4)
         assert len(evs) == 8
-        assert len(seen) == len(set(seen))
+        assert p.phase_values and p.newton_values
+        newton = {(-2.0 * lam, r) for lam, r in p.newton_values}
+        assert len(seen) == (len(p.char_values) + len(p.phase_values)
+                             + len(newton))
+        assert {(z, r) for z, r, atol in seen if atol} <= newton
         for rtol, cache in ((_CANCEL_RTOL, p.char_values),
                             (_PHASE_RTOL, p.phase_values)):
-            assert cache
-            assert {z for z, r in seen if r == rtol} == {
-                -2.0 * lam for lam in cache}
-        assert {r for _, r in seen} == {_CANCEL_RTOL, _PHASE_RTOL}
+            assert {-2.0 * lam for lam in cache} <= {
+                z for z, r, atol in seen if r == rtol and not atol}
+        assert {r for _, r, _ in seen} == {_CANCEL_RTOL, _PHASE_RTOL}
+        assert any(atol for _, _, atol in seen)
 
     def test_cache_per_problem(self):
         p = SpectralProblem(1.5)
         find_eigenvalues(p, 2)
-        assert p.char_values
+        assert p.newton_values
         q = SpectralProblem(1.6)
-        assert q.char_values == {}
+        assert q.char_values == {} and q.newton_values == {}
         assert SpectralProblem(1.5) == p
         assert hash(SpectralProblem(1.5)) == hash(p)
-        assert "char_values" not in repr(p)
+        for cache in ("char_values", "phase_values", "newton_values"):
+            assert cache not in repr(p)
         assert p.phase_values and q.phase_values == {}
-        assert "phase_values" not in repr(p)
 
     def test_audit_error_before_later_convergence_error(self, monkeypatch):
         # the first audit rectangle holds no zero of F, and a boundary
@@ -362,10 +370,32 @@ class TestCharValues:
             spectrum._audit(p, evs[1:])
 
 
-def _bits(evs):
-    """Values, residuals and labels of eigenvalues, floats as bit patterns."""
-    return [(ev.value.real.hex(), ev.value.imag.hex(), ev.residual.hex(),
-             ev.index, ev.branch, ev.seed_source) for ev in evs]
+# Newton's last steps accept F within an absolute bound that places the
+# root to about one ulp, so an eigenvalue is reproducible to this, not to
+# the bit: a change of path (other early iterates) moves it by an ulp
+EIG_RTOL = 4 * 2.0 ** -52
+
+
+def _assert_close(evs, ref):
+    """evs and ref hold the same eigenvalues, labels alike and each value
+    within EIG_RTOL |lambda|."""
+    assert [(ev.index, ev.branch, ev.seed_source) for ev in evs] == [
+        (ev.index, ev.branch, ev.seed_source) for ev in ref]
+    for ev, r in zip(evs, ref):
+        assert abs(ev.value - r.value) <= EIG_RTOL * abs(r.value), (ev, r)
+
+
+def _mp_root(alpha, lam):
+    """The zero of M(1 - alpha, 2, -2 lambda) next to lam, by
+    mpmath.findroot at 50 digits, as a complex."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a = 1 - mpmath.mpf(alpha)
+        return complex(mpmath.findroot(
+            lambda l: mpmath.hyp1f1(a, 2, -2 * l), mpmath.mpc(lam),
+            df=lambda l: -a * mpmath.hyp1f1(a + 1, 3, -2 * l),
+            solver="newton"))
 
 
 @st.composite
@@ -443,8 +473,8 @@ class TestPhaseGrade:
         ref = find_eigenvalues(SpectralProblem(alpha), 5)
 
         def perturbed(f):
-            def g(aa, b, z, rtol=_CANCEL_RTOL):
-                out = f(aa, b, z, rtol=rtol)
+            def g(aa, b, z, rtol=_CANCEL_RTOL, **kwargs):
+                out = f(aa, b, z, rtol=rtol, **kwargs)
                 return out * factor if rtol == _PHASE_RTOL else out
             return g
 
@@ -454,7 +484,7 @@ class TestPhaseGrade:
         p = SpectralProblem(alpha)
         evs = find_eigenvalues(p, 5)
         assert p.phase_values
-        assert _bits(evs) == _bits(ref)
+        _assert_close(evs, ref)
 
 
     @pytest.mark.parametrize("alpha, k_max", [(0.694473, 20),
@@ -467,10 +497,10 @@ class TestPhaseGrade:
         grades, fallbacks, newton = [], [], []
 
         def graded(f):
-            def g(aa, b, z, rtol=_CANCEL_RTOL):
+            def g(aa, b, z, rtol=_CANCEL_RTOL, **kwargs):
                 grades.append(rtol)
                 try:
-                    return f(aa, b, z, rtol=rtol)
+                    return f(aa, b, z, rtol=rtol, **kwargs)
                 finally:
                     grades.pop()
             return g
@@ -506,11 +536,22 @@ class TestPhaseGrade:
 
 class TestNewtonGrades:
     """Newton takes F' and its long steps at the phase grade, its last
-    steps at the value grade."""
+    steps at the value grade, and every F after the seed's within its
+    absolute bound."""
 
-    # value-grade F calls that reach _kummer_series_highprec in one Newton
-    # solve (kept mpmath values included); 6, 8 and 10 before the grades
+    # value-grade F calls that reach _kummer_series_highprec (kept mpmath
+    # values included): at most VALUE_FALLBACKS_PER_SOLVE in one Newton
+    # solve (6, 8 and 10 before the grades), which the cancellation window
+    # below |z| = 34 still needs, and at most VALUE_FALLBACKS_MEAN per
+    # solve over an alpha's solves (2.4 at each alpha before the absolute
+    # bound)
     VALUE_FALLBACKS_PER_SOLVE = 3
+    VALUE_FALLBACKS_MEAN = 2.0
+    # no Newton F at |z| >= 34 reaches mpmath at these alphas. At 1.440102
+    # pair 5 sits at |z| = 35.6, where the expansion's own error estimate,
+    # 1.4e-11, is a thousand times the bound, and near alpha = 3 the
+    # expansion's estimate is 1e-9 and more: their fallbacks stay
+    BAND_FREE = (0.694473,)
 
     @pytest.mark.parametrize("alpha, k_max", [(0.694473, 20),
                                               (1.440102, 5),
@@ -521,24 +562,33 @@ class TestNewtonGrades:
         # solves: one record per Newton solve; active while one runs
         where, solves, active, evaluated = [], [], [], []
 
-        def tagged(name, tag):
-            f = getattr(spectrum, name)
+        def tagged(f):
+            def g(problem, lam, rtol, atol):
+                tag = "value" if rtol == _CANCEL_RTOL else "phase"
+                if active:
+                    solves[-1]["f"].append((tag, complex(lam), atol))
+                where.append((tag, complex(lam), atol))
+                try:
+                    return f(problem, lam, rtol, atol)
+                finally:
+                    where.pop()
+            return g
 
+        def dlam(f):
             def g(problem, lam):
-                if active and tag != "dlam":
-                    solves[-1]["f"].append((tag, complex(lam)))
-                where.append(tag)
+                where.append(("dlam", complex(lam), 0.0))
                 try:
                     return f(problem, lam)
                 finally:
                     where.pop()
-            monkeypatch.setattr(spectrum, name, g)
+            return g
 
         def high(f):
             def g(aa, b, z):
                 if active:
-                    solves[-1]["fallbacks"].append(where[-1] if where
-                                                   else None)
+                    solves[-1]["fallbacks"].append(
+                        (*(where[-1] if where else (None, None, 0.0)),
+                         aa, b, z))
                 return f(aa, b, z)
             return g
 
@@ -560,9 +610,10 @@ class TestNewtonGrades:
                 return lam, res
             return g
 
-        tagged("char_fn", "value")
-        tagged("_phase_fn", "phase")
-        tagged("char_fn_dlam", "dlam")
+        monkeypatch.setattr(spectrum, "_newton_fn",
+                            tagged(spectrum._newton_fn))
+        monkeypatch.setattr(spectrum, "char_fn_dlam",
+                            dlam(spectrum.char_fn_dlam))
         monkeypatch.setattr(specfun, "_kummer_series_highprec",
                             high(specfun._kummer_series_highprec))
         monkeypatch.setattr(mpmath, "hyp1f1", hyp1f1(mpmath.hyp1f1))
@@ -571,25 +622,70 @@ class TestNewtonGrades:
         find_eigenvalues(SpectralProblem(alpha), k_max)
 
         assert solves
+        value_fallbacks = 0
         for s in solves:
-            assert "dlam" not in s["fallbacks"]
-            assert (s["fallbacks"].count("value")
-                    <= self.VALUE_FALLBACKS_PER_SOLVE)
-            grades = [tag for tag, _ in s["f"]]
+            tags = [fb[0] for fb in s["fallbacks"]]
+            assert "dlam" not in tags
+            assert tags.count("value") <= self.VALUE_FALLBACKS_PER_SOLVE
+            value_fallbacks += tags.count("value")
+            for tag, lam, atol, aa, b, z in s["fallbacks"]:
+                if abs(z) < 34.0:
+                    continue
+                assert alpha not in self.BAND_FREE, (tag, z)
+                # the full-sum expansion cannot place the root within the
+                # bound (atol / |e^z| under the Kummer transformation)
+                if (-2.0 * lam).real < -1.0:
+                    atol /= abs(cmath.exp(-2.0 * lam))
+                _, err = specfun._kummer_asymptotic(aa, b, z, _CANCEL_RTOL)
+                assert err > atol, (tag, z, err, atol)
+            grades = [tag for tag, _, _ in s["f"]]
             first = grades.index("value")
             # phase-grade F until the switch, then value-grade F only, the
-            # first at the lambda last taken at the phase grade
+            # first at the lambda last taken at the phase grade; every F
+            # after the seed's within Newton's absolute bound
             assert first >= 1 and set(grades[:first]) == {"phase"}
             assert set(grades[first:]) == {"value"}
             assert s["f"][first][1] == s["f"][first - 1][1]
+            assert s["f"][0][2] == 0.0
+            assert all(0.0 < atol <= 1e-2 * spectrum._RESIDUAL_TOL
+                       for _, _, atol in s["f"][1:])
             # the last step starts from a value-grade F, and the residual
             # is the value-grade |F| at the root
             assert len(grades) - first >= 2
             lam, res, problem = s["out"]
-            assert s["f"][-1] == ("value", lam)
-            assert res == abs(problem.char_values[lam])
+            assert s["f"][-1][:2] == ("value", lam)
+            assert res == abs(problem.newton_values[lam, _CANCEL_RTOL])
+        assert value_fallbacks <= self.VALUE_FALLBACKS_MEAN * len(solves)
         # no lambda reaches mpmath twice, at either grade
         assert len(evaluated) == len(set(evaluated))
+
+
+class TestEigenvalueOracle:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=8)
+    @given(alpha=st.floats(0.2, 4.5).filter(
+               lambda a: abs(a - round(a)) > 1e-6),
+           k_max=st.integers(1, 20))
+    def test_within_four_ulps_of_mpmath(self, alpha, k_max):
+        # every root Newton returns, from the real-axis brackets and the
+        # first k_max asymptotic seeds, whichever Kummer regime or bound
+        # accepted its last steps, is within EIG_RTOL |lambda| of the
+        # 50-digit root. Newton's roots rather than find_eigenvalues':
+        # from alpha ~ 4 with k_max ~ 15 its absolute residual check
+        # refuses roots that are right to the last bit, since |F'| there
+        # makes |F| at the nearest double exceed _RESIDUAL_TOL
+        p = SpectralProblem(alpha)
+        roots = [lam for lam, _ in _real_eigenvalues_generic(p)]
+        for k in range(1, k_max + 1):
+            seed = asymptotic_eigenvalue(p, k, "upper")
+            try:
+                roots.append(spectrum._newton(p, seed)[0])
+            except spectrum.NewtonError:
+                pass
+        assert len(roots) >= k_max // 2
+        for lam in roots:
+            root = _mp_root(alpha, lam)
+            assert abs(lam - root) <= EIG_RTOL * abs(root), (lam, root)
 
 
 class TestAsymptoticSeeds:
