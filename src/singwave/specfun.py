@@ -117,9 +117,7 @@ def _kummer_series_double(a, b, z):
     max_mag = 1.0
     small_run = 0
     for k in range(_SERIES_MAX_TERMS):
-        # the factor as c + 0j, as kummer_m_array forms it; Python 3.14
-        # multiplies complex by float part by part, without the 0j
-        term = term * ((a + k) / ((b + k) * (k + 1.0)) + 0j) * z
+        term = term * ((a + k) / ((b + k) * (k + 1.0))) * z
         if term == 0:  # terminating series (a a non-positive integer)
             return acc, max_mag, k + 1
         acc += term
@@ -187,8 +185,7 @@ def _asym_sum(p, q, w, tol):
     best_mag = abs(term)
     max_mag = best_mag
     for s in range(int(abs(w)) + 40):
-        # the factor as c + 0j, as lockstep.asym_sum forms it
-        term = term * ((p + s) * (q + s) / (s + 1.0) + 0j) / w
+        term = term * ((p + s) * (q + s) / (s + 1.0)) / w
         acc += term
         mag = abs(term)
         acc_mag = abs(acc)
@@ -315,12 +312,10 @@ def kummer_m(a, b, z, *, rtol=_CANCEL_RTOL, atol=0.0):
 def _kummer_series_lockstep(a, b, z, rtol):
     """_kummer_series_double over a complex array z in lockstep.
 
-    The terms come from lockstep.block_real on real z and
-    lockstep.block_split otherwise, in blocks of lockstep.BLOCK, so every
-    partial sum and every modulus has the bits of the scalar series. The
-    stopping rule and kummer_m's cancellation test at rtol are then read
-    off each block at once. Returns the sums and the mask of those that
-    pass the cancellation test. Raises ConvergenceError when an element
+    The terms come from lockstep.block in blocks of lockstep.BLOCK, and
+    the stopping rule and kummer_m's cancellation test at rtol are read off
+    each block at once. Returns the sums and the mask of those that pass
+    the cancellation test. Raises ConvergenceError when an element
     exhausts the term budget.
     """
     n = z.size
@@ -328,13 +323,7 @@ def _kummer_series_lockstep(a, b, z, rtol):
     ok = np.zeros(n, dtype=bool)
     idx = np.arange(n)
     zz = z
-    split = z.imag.any()
-    if split:
-        term = np.zeros((3, n))  # rows re, im, re
-        term[0] = term[2] = 1.0
-        acc = term[:2].copy()
-    else:
-        term, acc = np.ones(n, dtype=complex), np.ones(n, dtype=complex)
+    term, acc = np.ones(n, dtype=complex), np.ones(n, dtype=complex)
     max_mag = np.ones(n)
     # small flags of the last _SERIES_RUN - 1 terms
     recent = np.zeros((_SERIES_RUN - 1, n), dtype=bool)
@@ -344,16 +333,11 @@ def _kummer_series_lockstep(a, b, z, rtol):
             raise ConvergenceError("Kummer series did not converge",
                                    z[idx[0]], _SERIES_MAX_TERMS)
         block = min(lockstep.BLOCK, _SERIES_MAX_TERMS - k)
-        terms = np.empty((block + 1,) + term.shape, dtype=term.dtype)
-        accs = np.empty((block + 1,) + acc.shape, dtype=acc.dtype)
+        terms = np.empty((block + 1, zz.size), dtype=complex)
+        accs = np.empty((block + 1, zz.size), dtype=complex)
         terms[0], accs[0] = term, acc  # accs[j]: the sum before term j
         cs = [(a + i) / ((b + i) * (i + 1.0)) for i in range(k, k + block)]
-        if split:
-            ar, ai, t_mag, mags = lockstep.block_split(
-                cs, np.stack([zz.real, zz.real]),
-                np.stack([-zz.imag, zz.imag]), None, terms, accs)
-        else:
-            ar, ai, t_mag, mags = lockstep.block_real(cs, zz, terms, accs)
+        t_mag, mags = lockstep.block(cs, zz, terms, accs)
         small = np.concatenate(
             [recent, t_mag < _SERIES_RTOL * np.maximum(mags[1:], 1e-300)])
         # a zero term ends a terminating series before it is added
@@ -366,8 +350,7 @@ def _kummer_series_lockstep(a, b, z, rtol):
             first = stop[:, cols].argmax(axis=0)
             row = first + 1 - zero[first, cols]
             fin = idx[cols]
-            value.real[fin] = ar[row, cols]
-            value.imag[fin] = ai[row, cols]
+            value[fin] = accs[row, cols]
             # running max |sum| up to the stop; fmax skips a NaN as the
             # scalar comparison does
             run_max = mags[:, cols]
@@ -377,7 +360,7 @@ def _kummer_series_lockstep(a, b, z, rtol):
                 rtol * np.maximum(mags[row, cols], 1e-300))
         keep = ~hit
         idx, zz = idx[keep], zz[keep]
-        term, acc = terms[-1][..., keep], accs[-1][..., keep]
+        term, acc = terms[-1][keep], accs[-1][keep]
         max_mag = np.fmax(max_mag[keep], np.fmax.reduce(mags[1:, keep],
                                                         axis=0))
         recent = small[block:][:, keep]
@@ -410,17 +393,16 @@ def _kummer_asymptotic_lockstep(a, b, w, rtol):
 
 
 def kummer_m_array(a, b, z, *, rtol=_CANCEL_RTOL):
-    """kummer_m over a numpy array of z, same shape out, bit for bit at the
-    same rtol.
+    """kummer_m over a numpy array of z, same shape out, to kummer_m's
+    accuracy at the same rtol: each value passes the same error test, so
+    it differs from kummer_m's by rounding alone, within a few rtol |M|.
 
     Elements with Re z < -1 are evaluated at -z with b - a and multiplied
-    by cmath.exp(z) one at a time, since numpy's vector exp need not match
-    libm in the last bit. Each element then tries the regimes in the order
-    _regimes gives kummer_m, each regime in lockstep over the elements that
-    reach it: the double series with CPython's complex rounding
-    (_kummer_series_lockstep) and the large-argument expansion
-    (_kummer_asymptotic_lockstep), neither summed twice for an element.
-    Only the elements that pass neither go to mpmath, one by one.
+    by e^z. Each element then tries the regimes in the order _regimes gives
+    kummer_m, each regime in lockstep over the elements that reach it: the
+    double series (_kummer_series_lockstep) and the large-argument
+    expansion (_kummer_asymptotic_lockstep), neither summed twice for an
+    element. Only the elements that pass neither go to mpmath, one by one.
     """
     if b <= 0 and b == int(b):
         raise ValueError(f"b={b} is a non-positive integer")
@@ -455,6 +437,8 @@ def kummer_m_array(a, b, z, *, rtol=_CANCEL_RTOL):
         for i in np.flatnonzero(~ok):
             vals[i] = _kummer_series_highprec(aa, b, complex(w[i]))
         if sign < 0:
+            # e^z one element at a time: a vectorised np.exp here raised
+            # a spectral-cold pass's peak RSS by about 1 MB
             vals = [cmath.exp(complex(zi)) * complex(v)
                     for zi, v in zip(flat[idx], vals)]
         out[idx] = vals

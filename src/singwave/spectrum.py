@@ -188,9 +188,8 @@ def _phase_fn(problem, lam):
 
 def _phase_fn_many(problem, lams):
     """_phase_fn at each of lams; the lambdas in neither cache are
-    evaluated in one kummer_m_array call, which is bit-identical to
-    kummer_m at the same rtol, or one by one when there are fewer than
-    _ARRAY_MIN_POINTS."""
+    evaluated in one kummer_m_array call, which meets kummer_m's phase
+    grade, or one by one when there are fewer than _ARRAY_MIN_POINTS."""
     values, phase = problem.char_values, problem.phase_values
     new = [lam for lam in dict.fromkeys(lams)
            if lam not in values and lam not in phase]
@@ -565,7 +564,8 @@ def _recover_missed(problem, kept, n_pairs):
 def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
     """All eigenvalues inside the disc of radius search_radius plus the
     first k_max conjugate pairs (non-integer alpha), or the full finite
-    spectrum (integer alpha). Audited against the argument principle."""
+    spectrum (integer alpha). Audited against the argument principle. A
+    spectrum short of those pairs raises SpectrumError."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     evs = []
@@ -607,6 +607,9 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
 
     if kept:
         _recover_missed(problem, kept, n_pairs)
+    if not near_integer and len(kept) < n_pairs:
+        raise SpectrumError(f"found {len(kept)} of {n_pairs} conjugate pairs "
+                            f"(alpha={problem.alpha})")
     kept = kept[:n_pairs]
     for k, (lam, res, src) in enumerate(kept, start=1):
         evs.append(Eigenvalue(lam, k, "upper", res, seed_source=src))

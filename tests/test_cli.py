@@ -612,6 +612,18 @@ class TestExitCodes:
         assert proc.stderr == ("singwave: config error: radius must be "
                                "positive and finite, got 'inf'\n")
 
+    @pytest.mark.parametrize("alpha, found", [("3.9999999999", 15),
+                                              ("4.0000000001", 14)])
+    def test_short_spectrum_is_computation_error(self, capsys, alpha, found):
+        # next to alpha = 4 at kmax 20 the asymptotic seeds and the
+        # recovery find only some of the pairs: an error, not a short list
+        code, out, err = run_cli(capsys, "spectrum", "--alpha", alpha,
+                                 "--kmax", "20")
+        assert code == 1
+        assert out == ""
+        assert err == (f"singwave: computation error: found {found} of 20 "
+                       f"conjugate pairs (alpha={alpha})\n")
+
     def test_value_error_in_computation_is_computation_error(self, capsys):
         # alpha = 1e300 is accepted, and is an integer: numpy refuses the
         # size of its Laguerre poles' matrix with a ValueError

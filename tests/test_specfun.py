@@ -115,8 +115,9 @@ class TestKummerM:
                 with mock.patch.object(specfun, "_ASYM_LOCKSTEP_MIN", 1):
                     got_array = kummer_m_array(a, 2.0, np.array([z]),
                                                rtol=rtol)
-                assert _bits(got_array) == _bits([got])
                 assert abs(got - ref) <= 1e3 * rtol * abs(ref), (a, z, rtol)
+                assert abs(got_array[0] - ref) <= 1e3 * rtol * abs(ref), (
+                    a, z, rtol)
 
     def test_derivative(self):
         a, b, z = 1.3, 2.0, 0.7 + 0.2j
@@ -196,6 +197,18 @@ def _bits(values):
     return np.ascontiguousarray(values, dtype=complex).view(np.int64).tolist()
 
 
+def _assert_close(values, ref, rtol):
+    """kummer_m_array's contract against kummer_m at the same rtol: the two
+    pass the same error test and differ by rounding alone, so each value is
+    within 10 rtol of the scalar's modulus (3.3 rtol measured at most)."""
+    values = np.asarray(values, dtype=complex).ravel()
+    ref = np.asarray(ref, dtype=complex).ravel()
+    assert values.shape == ref.shape
+    err = np.abs(values - ref)
+    assert np.all(err <= 10 * rtol * np.abs(ref)), (
+        ref[np.argmax(err / np.abs(ref))], float(np.max(err / np.abs(ref))))
+
+
 # -2 lambda at the first pair of eigenvalues at alpha = 1.5: a zero of
 # M(-0.5, 2, .)
 _ZERO = -2.0 * (-3.9181422013514475 + 3.6781508490378143j)
@@ -213,13 +226,17 @@ def _logged(name, log):
 
 
 class TestKummerMArray:
+    """kummer_m_array against kummer_m, to the scalar's accuracy: within
+    10 rtol |M| of it (_assert_close). The tests named bit_identical keep
+    the names they had under the older, bitwise contract."""
+
     @pytest.mark.parametrize("alpha", [0.7, 1.44, 1.97, 2.6, 3 + 1e-6,
                                        2 + 1e-11])
     def test_real_grid_bit_identical(self, alpha):
         zs = _scan_grid(alpha)
         vals = kummer_m_array(1.0 - alpha, 2.0, zs)
         ref = np.array([kummer_m(1.0 - alpha, 2.0, z) for z in zs])
-        assert _bits(vals) == _bits(ref)
+        _assert_close(vals, ref, _CANCEL_RTOL)
 
     def test_mixed_complex_array(self):
         # Re z < -1 (transformation), |z| >= 34 (asymptotic band), points
@@ -234,7 +251,7 @@ class TestKummerMArray:
                 assert vals.shape == z.shape
                 ref = np.array([kummer_m(a, 2.0, zi, rtol=rtol)
                                 for zi in z.ravel()])
-                assert _bits(vals.ravel()) == _bits(ref)
+                _assert_close(vals, ref, rtol)
 
     def test_bit_identical_in_every_regime(self):
         # derandomised complex z from five boxes at both accuracy grades,
@@ -302,7 +319,7 @@ class TestKummerMArray:
                         _logged("_kummer_series_highprec", log):
                     ref.append(kummer_m(a, b, zi, rtol=rtol))
                 seen.add((regime(zi, log), rtol))
-            assert _bits(vals) == _bits(np.array(ref))
+            _assert_close(vals, ref, rtol)
 
         check()
         value_grade = {"series", "transform", "asymptotic", "mpmath"}
@@ -321,7 +338,7 @@ class TestKummerMArray:
             for rtol in (_CANCEL_RTOL, _PHASE_RTOL):
                 ref = [kummer_m(a, 2.0, zi, rtol=rtol) for zi in z]
                 vals = kummer_m_array(a, 2.0, z, rtol=rtol)
-                assert _bits(vals) == _bits(np.array(ref))
+                _assert_close(vals, ref, rtol)
 
     def test_phase_grade_band(self):
         # the phase grade takes the expansion alone at |z| >= 34 away from
@@ -348,15 +365,14 @@ class TestKummerMArray:
     def test_modulus_overflow_like_array(self):
         # Newton's first step at alpha = 0.99999: the partial sums' parts
         # stay finite while their modulus passes the float range, where
-        # abs() raises and np.hypot gives inf
+        # abs() raises and np.abs gives inf: both exhaust the term budget
         a, b, z = 1.99999, 2.0, 312.6592383586838 + 808.0974907694454j
         outcomes = []
-        for evaluate in (lambda: [kummer_m(a, b, z)],
+        for evaluate in (lambda: kummer_m(a, b, z),
                          lambda: kummer_m_array(a, b, np.array([z]))):
-            try:
-                outcomes.append(_bits(evaluate()))
-            except ConvergenceError as exc:
-                outcomes.append(str(exc))
+            with pytest.raises(ConvergenceError) as exc:
+                evaluate()
+            outcomes.append(str(exc.value))
         assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("rtol", [_CANCEL_RTOL, 1e-8])

@@ -116,6 +116,27 @@ class TestFindEigenvalues:
         assert np.allclose(fast_reals, gen_reals, atol=1e-10)
 
 
+    def test_short_spectrum_raises(self, monkeypatch):
+        # Newton fails from every asymptotic seed above pair 1, and the
+        # covering rectangle reaches only to pair 1: one pair of three is
+        # an error, not a shorter list
+        newton = spectrum._newton
+
+        def failing(problem, seed):
+            if problem.alpha == 1.5 and seed.imag > 5.0:
+                raise spectrum.NewtonError(seed)
+            return newton(problem, seed)
+
+        monkeypatch.setattr(spectrum, "_newton", failing)
+        with pytest.raises(spectrum.SpectrumError,
+                           match=r"^found 1 of 3 conjugate pairs"):
+            find_eigenvalues(SpectralProblem(1.5), 3)
+        # a sweep drops that alpha and keeps the others
+        pts = alpha_sweep([1.5, 1.6], 3)
+        assert pts.dropped == [(1.5, "SpectrumError: found 1 of 3 conjugate "
+                                     "pairs (alpha=1.5)")]
+        assert {p.alpha for p in pts} == {1.6}
+
     @pytest.mark.parametrize("m, diving", [(2, -22.10), (3, -25.31),
                                            (4, -28.32)])
     def test_just_above_integer(self, m, diving):
