@@ -101,6 +101,10 @@ def _at_least(least):
 
 _POSITIVE = _checked(float, lambda x: 0 < x < math.inf,
                      "positive and finite")
+# the spectrum's asymptotic seeds need Gamma(1 + alpha), which leaves the
+# float range from alpha ~ 170.6
+_ALPHA = _checked(float, lambda x: 0 < x <= 170,
+                  "positive and at most 170")
 _CHECKS = ["all", *verify_mod.CHECKS]
 _CHECK = _checked(str, _CHECKS.__contains__, "one of " + ", ".join(_CHECKS))
 
@@ -109,9 +113,9 @@ _CHECK = _checked(str, _CHECKS.__contains__, "one of " + ", ".join(_CHECKS))
 # is a flag; in a config file 1, true or yes (any case) set it, any other
 # value clears it. extinction's N // 4, its coarsest level, needs 2 nodes.
 _OPTIONS = {
-    "spectrum": {"alpha": (_POSITIVE, None), "kmax": (_at_least(1), 5),
+    "spectrum": {"alpha": (_ALPHA, None), "kmax": (_at_least(1), 5),
                  "radius": (_POSITIVE, None)},
-    "sweep": {"alpha_min": (_POSITIVE, 1.1), "alpha_max": (_POSITIVE, 2.9),
+    "sweep": {"alpha_min": (_ALPHA, 1.1), "alpha_max": (_ALPHA, 2.9),
               "step": (_POSITIVE, 0.01), "kmax": (_at_least(1), 3),
               "at_integers": (bool, False),
               "refine_integers": (_at_least(0), 0, {
@@ -329,25 +333,34 @@ def cmd_sweep(args, cfg):
 
 # ---------------------------------------------------------------- simulate
 
+def _interleave(*columns):
+    """The columns' entries row by row, as one flat tuple."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        flat[i::len(columns)] = column
+    return tuple(flat)
+
+
 def _write_snapshots(run, out):
-    # joined per snapshot, so that one snapshot's rows are held at a time
+    # one % per snapshot, whose rows are the only ones held at a time;
+    # "%.16g" % x is f"{x:.16g}"
     parts = [f"# singwave v1, alpha={run.alpha}, N={run.grid.N}, "
              f"dt={run.dt}\n"]
-    xs = [f"{xi:.10g}" for xi in run.grid.nodes.tolist()]
+    rows = "".join(f"%s,{xi:.10g},%.16g,%.16g\n"
+                   for xi in run.grid.nodes.tolist()) + "\n"
     for t, state in zip(run.snapshot_times, run.snapshots):
-        ts = f"{t:.10g}"
-        rows = [f"{ts},{xi},{ui:.16g},{vi:.16g}\n" for xi, ui, vi
-                in zip(xs, state.u.tolist(), state.v.tolist())]
-        parts.append("".join(rows) + "\n")
+        u = state.u.tolist()
+        parts.append(rows % _interleave([f"{t:.10g}"] * len(u), u,
+                                        state.v.tolist()))
     _write("".join(parts), out)
 
 
 def _write_energy(run, out):
     # the csv module's dialect: no field here needs quoting, rows end in \r\n
-    rows = ["t,E\r\n"]
-    rows += [f"{t:.10g},{e:.16g}\r\n" for t, e
-             in zip(run.trace.times.tolist(), run.trace.energies.tolist())]
-    _write("".join(rows), out)
+    times = run.trace.times.tolist()
+    rows = "%.10g,%.16g\r\n" * len(times)
+    _write("t,E\r\n" + rows % _interleave(times,
+                                          run.trace.energies.tolist()), out)
 
 
 def cmd_simulate(args, cfg):

@@ -5,7 +5,9 @@ zeros in the open left half plane are exactly the eigenvalues. For integer
 alpha = n + 1 the spectrum reduces to the n roots of L_n^(1)(-2*mu), all
 negative real; for non-integer alpha there are ceil(alpha - 1) negative real
 eigenvalues plus infinitely many conjugate pairs with logarithmically
-receding real parts.
+receding real parts. Those are found by Newton from the eigenvalues of one
+Chebyshev collocation of the generator, and audited by the argument
+principle.
 """
 
 from __future__ import annotations
@@ -124,7 +126,9 @@ class Eigenvalue:
     index: int
     branch: str  # "real" | "upper" | "lower"
     residual: float
-    seed_source: str = "scan"  # "laguerre" | "asymptotic" | "scan"
+    # "laguerre" | "collocation" | "asymptotic" | "scan", the last for a
+    # pair that _recover_missed found by subdividing its covering rectangle
+    seed_source: str = "scan"
 
 
 @dataclass(frozen=True)
@@ -229,20 +233,23 @@ def _newton(problem, seed):
     _NEWTON_VALUE_STEP (1 + |lambda|); below that F is taken again at the
     same lambda at the value grade, and so is every later F: the halving
     tests, the stopping test and the returned residual. A step from a
-    phase-grade F never ends the iteration. Every F after the seed's is
+    phase-grade F never ends the iteration. Every F, the seed's too, is
     also accepted within atol, an error that moves the root by at most
     _NEWTON_ROOT_ERR (1 + |lambda|): next to a zero |F| is tiny against
-    the sums, and no relative bound is met in double precision.
+    the sums, and no relative bound is met in double precision. So F' comes
+    first at each lambda: atol is read off it.
     """
     lam = complex(seed)
     rtol = _PHASE_RTOL
-    f = _newton_fn(problem, lam, rtol, 0.0)
+    f = None
     for _ in range(_NEWTON_MAX_ITER):
         df = char_fn_dlam(problem, lam)
         if df == 0:
             raise NewtonError(seed, "vanishing derivative")
         atol = min(_NEWTON_RES_ERR * _RESIDUAL_TOL,
                    _NEWTON_ROOT_ERR * abs(df) * (1.0 + abs(lam)))
+        if f is None:
+            f = _newton_fn(problem, lam, rtol, atol)
         step = f / df
         if rtol == _PHASE_RTOL and (abs(step)
                                     < _NEWTON_VALUE_STEP * (1.0 + abs(lam))):
@@ -442,42 +449,87 @@ def standing_mode(n, k):
     return StandingMode(mu, f, df, f_over_x)
 
 
-def _real_eigenvalues_generic(problem):
-    """Negative real eigenvalues for non-integer alpha, as (lambda,
-    residual) pairs in ascending lambda: a sign-change scan of the
-    (real-valued) characteristic function on the negative axis, then Newton
-    from each bracket's secant point, or from a sample where F is exactly
-    zero (its bracket then the neighbouring samples). A root that leaves its
-    bracket raises SpectrumError: no later check would catch it unaudited."""
-    a = problem.alpha
-    expected = max(0, math.ceil(a - 1.0))
-    if expected == 0:
-        return []
-    # zeros escape to -infinity as alpha approaches an integer from above
-    dist = max(min(a - math.floor(a), math.ceil(a) - a), 1e-16)
-    z_hi = 4.0 * a + 16.0 + 3.0 * max(0.0, -math.log(dist))
-    zs = np.linspace(1e-6, z_hi, 4000)
-    vals = kummer_m_array(1.0 - a, 2.0, zs).real
-    brackets = []  # (lo, hi, seed) in z = -2 lambda
-    for i in range(len(zs) - 1):
-        if vals[i] == 0.0:
-            brackets.append((zs[max(i - 1, 0)], zs[i + 1], zs[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            lo, hi = zs[i], zs[i + 1]
-            brackets.append(
-                (lo, hi, lo - vals[i] * (hi - lo) / (vals[i + 1] - vals[i])))
-    if len(brackets) != expected:
-        raise SpectrumError(
-            f"real-axis scan found {len(brackets)} zeros, expected "
-            f"{expected} (alpha={a}, scan range z<={z_hi:.3g})")
+def collocation_order(alpha, n_pairs):
+    """The N of collocation_eigenvalues that resolves n_pairs pairs
+    (Im lambda ~ pi k) and every real eigenvalue: a multiple of 16, at
+    least 32. As alpha nears an integer from above, the lowest real root
+    dives towards -infinity, to -2 lambda below 4 alpha + 16 +
+    3 ln(1 / distance)."""
+    dist = max(min(alpha - math.floor(alpha), math.ceil(alpha) - alpha),
+               1e-16)
+    z_hi = 4.0 * alpha + 16.0 + 3.0 * max(0.0, -math.log(dist))
+    reach = max(math.pi * (n_pairs + 1), 0.5 * z_hi)
+    return 16 * math.ceil(max(32.0, 0.8 * reach) / 16.0)
+
+
+def collocation_eigenvalues(alpha, n):
+    """The eigenvalues of the generator on the n + 1 Chebyshev points of
+    [0, 1], as a complex array in no order.
+
+    With w = lambda u, the eigen equation lambda^2 u + (2 alpha / x)
+    lambda u = u'' is lambda (u, w) = (w, u'' - (2 alpha / x) w), with
+    u = w = 0 at both ends: u'' is the interior block of D^2, D the
+    Chebyshev differentiation matrix (Trefethen, Spectral Methods in
+    MATLAB, ch. 6). The eigenfunctions are entire in x, so the values that
+    the grid resolves converge spectrally; the others are spurious. D^2
+    comes from D's entries (Welfert, SIAM J. Numer. Anal. 34, 1997), each
+    diagonal entry minus its row's other entries' sum, as in D: no matrix
+    product, whose BLAS pages would add to a run's resident memory."""
+    j = np.arange(n + 1)
+    x = 0.5 - 0.5 * np.cos(np.pi * j / n)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    dx = x[:, None] - x + np.eye(n + 1)
+    d = np.outer(c, 1.0 / c) / dx
+    d[j, j] -= d.sum(axis=1)
+    d2 = 2.0 * d * (d[j, j][:, None] - 1.0 / dx)
+    d2[j, j] = 0.0
+    d2[j, j] = -d2.sum(axis=1)
+    m = n - 1
+    a = np.zeros((2 * m, 2 * m))
+    a[:m, m:] = np.eye(m)
+    a[m:, :m] = d2[1:-1, 1:-1]
+    a[m:, m:] = np.diag(-2.0 * alpha / x[1:-1])
+    wr, wi, _, _, info = flapack.dgeev(a, compute_vl=0, compute_vr=0,
+                                       overwrite_a=1)
+    if info != 0:
+        raise SpectrumError(f"collocation eigenvalues failed "
+                            f"(dgeev info={info})")
+    return wr + 1j * wi
+
+
+def _collocation_seeds(problem, n_pairs):
+    """Newton's seeds for the real roots and for n_pairs pairs, from
+    collocation_eigenvalues at collocation_order: the real values (|Im|
+    at most 1e-6 (1 + |lambda|)) as floats, and the values in the upper
+    half plane in ascending Im."""
+    lams = collocation_eigenvalues(
+        problem.alpha, collocation_order(problem.alpha, n_pairs))
+    real = np.abs(lams.imag) <= 1e-6 * (1.0 + np.abs(lams))
+    upper = lams[~real & (lams.imag > 0)]
+    return (lams[real].real.tolist(),
+            upper[np.argsort(upper.imag, kind="stable")].tolist())
+
+
+def _real_roots(problem, seeds):
+    """The ceil(alpha - 1) negative real eigenvalues of non-integer alpha,
+    as (lambda, residual) pairs in ascending lambda: Newton from that many
+    real seeds nearest 0. Newton from a real seed stays real, and there are
+    exactly that many real roots, so distinct roots are all of them; two
+    seeds that reach one root raise SpectrumError."""
+    expected = max(0, math.ceil(problem.alpha - 1.0))
+    seeds = sorted(seeds, key=abs)[:expected]
+    if len(seeds) < expected:
+        raise SpectrumError(f"collocation gave {len(seeds)} real "
+                            f"eigenvalues, expected {expected} "
+                            f"(alpha={problem.alpha})")
     roots = []
-    for lo, hi, seed in brackets:
-        lam, res = _newton(problem, complex(-seed / 2.0))
-        if not lo <= -2.0 * lam.real <= hi:
-            raise SpectrumError(
-                f"real-axis root z={-2.0 * lam.real!r} left its bracket "
-                f"[{float(lo)!r}, {float(hi)!r}] (alpha={a})")
-        roots.append((complex(lam.real), res))
+    for seed in seeds:
+        lam, res = _newton(problem, complex(seed))
+        lam = complex(lam.real)
+        if any(abs(lam - o) < _DEDUP_TOL * (1 + abs(lam)) for o, _ in roots):
+            raise SpectrumError(f"two real seeds reached the root {lam!r} "
+                                f"(alpha={problem.alpha})")
+        roots.append((lam, res))
     return sorted(roots, key=lambda t: t[0].real)
 
 
@@ -565,7 +617,13 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
     """All eigenvalues inside the disc of radius search_radius plus the
     first k_max conjugate pairs (non-integer alpha), or the full finite
     spectrum (integer alpha). Audited against the argument principle. A
-    spectrum short of those pairs raises SpectrumError."""
+    spectrum short of those pairs raises SpectrumError.
+
+    For non-integer alpha, Newton runs from the collocation's real values
+    nearest 0 (_real_roots) and from its first n_pairs + 2 values in the
+    upper half plane; the asymptotic seeds run only while pairs are still
+    missing, and _recover_missed's covering count finds any pair that both
+    missed."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     evs = []
@@ -578,25 +636,35 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
             _audit(problem, evs)
         return evs
 
-    for i, (lam, res) in enumerate(_real_eigenvalues_generic(problem)):
-        evs.append(Eigenvalue(lam, i + 1, "real", res))
-
-    n_pairs = k_max
-    if search_radius is not None:
+    # At (near-)integer alpha under force_generic there are no non-real
+    # eigenvalues and no seeds for them.
+    near_integer = integer_n(problem.alpha) is not None
+    n_pairs = 0 if near_integer else k_max
+    if search_radius is not None and not near_integer:
         # extend until the asymptotic seeds leave the disc
-        k = k_max
-        while abs(asymptotic_eigenvalue(problem, k + 1, "upper")) <= search_radius:
-            k += 1
-        n_pairs = k
+        while (abs(asymptotic_eigenvalue(problem, n_pairs + 1, "upper"))
+               <= search_radius):
+            n_pairs += 1
+
+    real, upper = _collocation_seeds(problem, n_pairs)
+    for i, (lam, res) in enumerate(_real_roots(problem, real)):
+        evs.append(Eigenvalue(lam, i + 1, "real", res,
+                              seed_source="collocation"))
 
     kept = []  # (lam, res, src), upper half plane, ascending Im
+    # two seeds to spare, for values that Newton takes elsewhere
+    for seed in upper[:n_pairs + 2] if n_pairs else []:
+        try:
+            lam, res = _newton(problem, seed)
+        except (NewtonError, ConvergenceError):
+            # a value the grid does not resolve can lead Newton far away
+            continue
+        _absorb(kept, lam, res, "collocation")
 
-    # seeds may collide on the same zero for small k; keep going until the
-    # requested number of distinct pairs is in hand. At (near-)integer alpha
-    # under force_generic there are no non-real eigenvalues and no seeds.
-    near_integer = integer_n(problem.alpha) is not None
+    # asymptotic seeds may collide on the same zero for small k; keep going
+    # until the requested number of distinct pairs is in hand
     k = 0
-    while not near_integer and len(kept) < n_pairs and k < n_pairs + 10:
+    while len(kept) < n_pairs and k < n_pairs + 10:
         k += 1
         seed = asymptotic_eigenvalue(problem, k, "upper")
         try:
@@ -607,7 +675,7 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
 
     if kept:
         _recover_missed(problem, kept, n_pairs)
-    if not near_integer and len(kept) < n_pairs:
+    if len(kept) < n_pairs:
         raise SpectrumError(f"found {len(kept)} of {n_pairs} conjugate pairs "
                             f"(alpha={problem.alpha})")
     kept = kept[:n_pairs]

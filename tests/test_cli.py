@@ -100,24 +100,26 @@ class TestSpectrum:
         assert code == 0
         assert "Traceback" not in err
 
-    def test_alpha_past_gamma_range_is_computation_error(self, capsys):
-        # the large-argument expansion's prefactors leave the float range:
-        # its elements go on to mpmath, and the real-axis scan's count
-        # check ends the run
-        code, out, err = run_cli(capsys, "spectrum", "--alpha", "171.5",
+    @pytest.mark.parametrize("alpha", ["171.5", "1e300"])
+    def test_alpha_past_bound_is_config_error(self, capsys, alpha):
+        # past alpha = 170 the asymptotic seeds' Gamma(1 + alpha) leaves
+        # the float range, and from 2^53 every double is an integer, whose
+        # Laguerre matrix would have alpha - 1 rows
+        code, out, err = run_cli(capsys, "spectrum", "--alpha", alpha,
                                  "--kmax", "1")
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.startswith("singwave: computation error: ")
+        assert err == (f"singwave: config error: alpha must be positive and "
+                       f"at most 170, got {alpha!r}\n")
 
 
 # re/im columns of `spectrum --alpha A --kmax K` (K from GOLDEN_KMAX, else
-# 5), recorded before the real-axis scan moved to kummer_m_array, with
-# Newton from each bracket's secant point, and the high-precision fallback
-# to mpmath.hyp1f1; 0.694473 was recorded before Newton took its long
-# steps at the phase grade; its pairs reach |z| ~ 126, the large-|z| band.
-# Those changes left them byte-identical. Newton's last steps now accept a
-# value of F by the root error it implies, about one ulp, so each value is
+# 5), recorded by earlier versions of the eigenvalue search and of the
+# high-precision fallback to mpmath.hyp1f1; 0.694473 was recorded before
+# Newton took its long steps at the phase grade; its pairs reach
+# |z| ~ 126, the large-|z| band. Those changes left them byte-identical.
+# Newton's last steps now accept a value of F by the root error it
+# implies, about one ulp, and start from other seeds, so each value is
 # held to GOLDEN_RTOL |lambda| of its record, and each one that moved also
 # to GOLDEN_RTOL of the 50-digit mpmath root.
 GOLDEN_RTOL = 4 * 2.0 ** -52
@@ -245,9 +247,11 @@ class TestSweep:
                 (("--alpha-min", "3", "--alpha-max", "2"),
                  "need alpha-min < alpha-max"),
                 (("--alpha-max", "inf"),
-                 "alpha-max must be positive and finite, got 'inf'"),
+                 "alpha-max must be positive and at most 170, got 'inf'"),
+                (("--alpha-max", "171.5"),
+                 "alpha-max must be positive and at most 170, got '171.5'"),
                 (("--alpha-min", "nan"),
-                 "alpha-min must be positive and finite, got 'nan'"),
+                 "alpha-min must be positive and at most 170, got 'nan'"),
                 (("--step", "inf"),
                  "step must be positive and finite, got 'inf'"),
                 (("--step", "nan"),
@@ -612,11 +616,12 @@ class TestExitCodes:
         assert proc.stderr == ("singwave: config error: radius must be "
                                "positive and finite, got 'inf'\n")
 
-    @pytest.mark.parametrize("alpha, found", [("3.9999999999", 15),
-                                              ("4.0000000001", 14)])
+    @pytest.mark.parametrize("alpha, found", [("3.9999999999", 19),
+                                              ("4.0000000001", 19)])
     def test_short_spectrum_is_computation_error(self, capsys, alpha, found):
-        # next to alpha = 4 at kmax 20 the asymptotic seeds and the
-        # recovery find only some of the pairs: an error, not a short list
+        # next to alpha = 4 at kmax 20 the collocation and asymptotic seeds
+        # and the recovery find only some of the pairs: an error, not a
+        # short list
         code, out, err = run_cli(capsys, "spectrum", "--alpha", alpha,
                                  "--kmax", "20")
         assert code == 1
@@ -624,13 +629,17 @@ class TestExitCodes:
         assert err == (f"singwave: computation error: found {found} of 20 "
                        f"conjugate pairs (alpha={alpha})\n")
 
-    def test_value_error_in_computation_is_computation_error(self, capsys):
-        # alpha = 1e300 is accepted, and is an integer: numpy refuses the
-        # size of its Laguerre poles' matrix with a ValueError
-        code, out, err = run_cli(capsys, "spectrum", "--alpha", "1e300")
+    def test_value_error_in_computation_is_computation_error(
+            self, capsys, monkeypatch):
+        # a ValueError raised by the computation, not by an option's type
+        def refusing(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(cli, "find_eigenvalues", refusing)
+        code, out, err = run_cli(capsys, "spectrum", "--alpha", "2.5")
         assert code == 1
         assert out == ""
-        assert err.startswith("singwave: computation error: ")
+        assert err == "singwave: computation error: refused\n"
 
 
 # each subcommand with cheap arguments, and the module and name of the
@@ -722,10 +731,11 @@ _AGREE_CASES = {
 # every subcommand's options: "<option strings> <type, choices or flag>";
 # a table option's type is its declared domain, which reads the flag's text
 _P, _N = "positive and finite", "an integer >="
+_A = "positive and at most 170"
 _OPTION_SET = {
-    "spectrum": f"-h/--help flag, --alpha {_P}, --kmax {_N} 1, --radius {_P}, "
-                "--format csv|json, --out str, --config str",
-    "sweep": f"-h/--help flag, --alpha-min {_P}, --alpha-max {_P}, "
+    "spectrum": f"-h/--help flag, --alpha {_A}, --kmax {_N} 1, "
+                f"--radius {_P}, --format csv|json, --out str, --config str",
+    "sweep": f"-h/--help flag, --alpha-min {_A}, --alpha-max {_A}, "
              f"--step {_P}, --kmax {_N} 1, --at-integers flag, "
              f"--refine-integers {_N} 0, --jobs str, --format csv|json, "
              "--out str, --config str",

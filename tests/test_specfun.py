@@ -185,7 +185,9 @@ class TestKummerProperties:
 
 
 def _scan_grid(alpha):
-    """The real-axis scan grid of the spectrum layer."""
+    """4,000 points of the real z-axis, from 1e-6 out past the real zeros
+    of M(1 - alpha, 2, .): a kummer_m_array input through sign changes and
+    cancellation."""
     dist = max(min(alpha - math.floor(alpha), math.ceil(alpha) - alpha),
                1e-16)
     z_hi = 4.0 * alpha + 16.0 + 3.0 * max(0.0, -math.log(dist))

@@ -15,10 +15,10 @@ from singwave import specfun, spectrum
 from singwave.specfun import (_CANCEL_RTOL, _PHASE_RTOL, ConvergenceError,
                               kummer_m)
 from singwave.spectrum import (Eigenvalue, Rect, SpectralProblem,
-                               _real_eigenvalues_generic, alpha_sweep,
-                               asymptotic_eigenvalue, char_fn, count_zeros,
-                               eigenfunction, find_eigenvalues, integer_n,
-                               laguerre_poles, spectral_abscissa,
+                               alpha_sweep, asymptotic_eigenvalue, char_fn,
+                               collocation_eigenvalues, collocation_order,
+                               count_zeros, eigenfunction, find_eigenvalues,
+                               integer_n, laguerre_poles, spectral_abscissa,
                                standing_mode)
 
 
@@ -160,36 +160,35 @@ class TestFindEigenvalues:
             assert len(evs) == n_real + 6
 
 
+def _real_roots_at(alpha):
+    """The real roots of find_eigenvalues' path: Newton from the real
+    collocation values nearest 0."""
+    p = SpectralProblem(alpha)
+    return spectrum._real_roots(p, spectrum._collocation_seeds(p, 1)[0])
+
+
+# below, across and near integers, and up to 6.2
+_REAL_ROOT_ALPHAS = (1.45, 1.972, 2.00001, 2.022, 2.3, 2.7, 3.0000009938,
+                     3.7, 4.5, 5.3, 6.2)
+
+
 class TestRealAxisScan:
+    """The count of real roots next to integers, where the lowest dives
+    towards -infinity; the name is that of the real-axis scan that the
+    collocation seeds replaced."""
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_near_integer_count(self, m):
         # alpha = m +/- 10^-u, u in [10, 13] in steps of 0.25
         for sign in (1.0, -1.0):
             for i in range(13):
                 alpha = m + sign * 10.0 ** -(10.0 + 0.25 * i)
-                mus = _real_eigenvalues_generic(SpectralProblem(alpha))
-                assert len(mus) == math.ceil(alpha - 1.0)
-
-
-# the scan's alpha list: below, across and near integers, and up to 6.2
-_SCAN_ALPHAS = (1.45, 1.972, 2.00001, 2.022, 2.3, 2.7, 3.0000009938, 3.7,
-                4.5, 5.3, 6.2)
-
-
-def _scan_brackets(alpha):
-    """The sign-change brackets of _real_eigenvalues_generic's scan."""
-    dist = max(min(alpha - math.floor(alpha), math.ceil(alpha) - alpha),
-               1e-16)
-    z_hi = 4.0 * alpha + 16.0 + 3.0 * max(0.0, -math.log(dist))
-    zs = np.linspace(1e-6, z_hi, 4000)
-    vals = spectrum.kummer_m_array(1.0 - alpha, 2.0, zs).real
-    return [(zs[i], zs[i + 1]) for i in range(len(zs) - 1)
-            if vals[i] * vals[i + 1] < 0]
+                assert len(_real_roots_at(alpha)) == math.ceil(alpha - 1.0)
 
 
 class TestRealRoots:
-    """The real roots of the scan's brackets: Newton from each bracket's
-    secant point, and the guard that keeps it inside."""
+    """The real roots: Newton from the collocation's real values, and the
+    check that no two seeds reach one root."""
 
     def test_match_mpmath(self):
         # each root to within 1e-15 relative of 50-digit findroot
@@ -197,10 +196,9 @@ class TestRealRoots:
 
         n_roots = 0
         with mp.workdps(50):
-            for alpha in _SCAN_ALPHAS:
+            for alpha in _REAL_ROOT_ALPHAS:
                 a = mp.mpf(alpha)
-                for lam, _ in _real_eigenvalues_generic(
-                        SpectralProblem(alpha)):
+                for lam, _ in _real_roots_at(alpha):
                     assert lam.imag == 0.0
                     z = mp.findroot(lambda z: mp.hyp1f1(1 - a, 2, z),
                                     -2.0 * lam.real)
@@ -209,47 +207,30 @@ class TestRealRoots:
                     n_roots += 1
         assert n_roots == 31
 
-    def test_inside_brackets(self):
-        n_roots = 0
-        for alpha in _SCAN_ALPHAS:
-            roots = _real_eigenvalues_generic(SpectralProblem(alpha))
-            brackets = _scan_brackets(alpha)
-            assert len(roots) == len(brackets)
-            # ascending lambda is descending z
-            for (lam, _), (lo, hi) in zip(roots, reversed(brackets)):
-                assert lo <= -2.0 * lam.real <= hi, (alpha, lam)
-                n_roots += 1
-        assert n_roots == 31
+    def test_two_seeds_one_root_raises(self, monkeypatch):
+        # the real value nearest 0 given twice: both seeds reach one root,
+        # so a real root is missing. The solve raises, and a sweep drops
+        # that alpha
+        seeds = spectrum._collocation_seeds
 
-    def test_exact_zero_sample(self, monkeypatch):
-        # a sample where F is exactly zero seeds Newton there, with the
-        # neighbouring samples as its bracket: the same roots come back
-        alpha = 2.3
-        want = _real_eigenvalues_generic(SpectralProblem(alpha))
-        lo = _scan_brackets(alpha)[0][0]
-        kummer_m_array = spectrum.kummer_m_array
+        def doubled(problem, n_pairs):
+            real, upper = seeds(problem, n_pairs)
+            nearest = min(real, key=abs)
+            return [nearest, nearest], upper
 
-        def zeroed(aa, b, z, rtol=_CANCEL_RTOL):
-            vals = kummer_m_array(aa, b, z, rtol=rtol)
-            vals[np.flatnonzero(z == lo)] = 0.0
-            return vals
-
-        monkeypatch.setattr(spectrum, "kummer_m_array", zeroed)
-        got = _real_eigenvalues_generic(SpectralProblem(alpha))
-        assert [lam for lam, _ in got] == pytest.approx(
-            [lam for lam, _ in want], rel=1e-15)
-
-    def test_root_outside_bracket_raises(self, monkeypatch):
-        # a Newton root 2 outside its bracket in z: the solve raises, and
-        # a sweep drops that alpha
-        monkeypatch.setattr(spectrum, "_newton",
-                            lambda problem, seed: (seed + 1.0, 0.0))
-        with pytest.raises(spectrum.SpectrumError, match="left its bracket"):
+        monkeypatch.setattr(spectrum, "_collocation_seeds", doubled)
+        with pytest.raises(spectrum.SpectrumError,
+                           match="two real seeds reached the root"):
             find_eigenvalues(SpectralProblem(2.3), 3, audit=False)
         pts = alpha_sweep([2.3], 1)
         assert pts == []
         assert [a for a, _ in pts.dropped] == [2.3]
-        assert "left its bracket" in pts.dropped[0][1]
+        assert "two real seeds reached the root" in pts.dropped[0][1]
+        # and fewer real seeds than ceil(alpha - 1) is an error too
+        with pytest.raises(spectrum.SpectrumError,
+                           match="collocation gave 1 real eigenvalues, "
+                                 "expected 2"):
+            spectrum._real_roots(SpectralProblem(2.3), [-1.0])
 
 
 def _mp_laguerre(n, a, x):
@@ -318,8 +299,8 @@ class TestScipyOracles:
 
 class TestCharValues:
     def test_each_lambda_evaluated_once(self, monkeypatch):
-        # below alpha = 1 there is no real-axis scan, so every evaluation
-        # of F in the solve goes through the problem's three caches, and
+        # every evaluation of F in the solve goes through the problem's
+        # three caches, and
         # each cache evaluates a lambda at most once per grade. Only
         # Newton's calls carry an absolute bound, and their values stay in
         # newton_values, which nothing but Newton reads
@@ -557,7 +538,7 @@ class TestPhaseGrade:
 
 class TestNewtonGrades:
     """Newton takes F' and its long steps at the phase grade, its last
-    steps at the value grade, and every F after the seed's within its
+    steps at the value grade, and every F, the seed's too, within its
     absolute bound."""
 
     # value-grade F calls that reach _kummer_series_highprec (kept mpmath
@@ -659,17 +640,20 @@ class TestNewtonGrades:
                     atol /= abs(cmath.exp(-2.0 * lam))
                 _, err = specfun._kummer_asymptotic(aa, b, z, _CANCEL_RTOL)
                 assert err > atol, (tag, z, err, atol)
+            # every F, the seed's too, within Newton's absolute bound
+            assert all(0.0 < atol <= 1e-2 * spectrum._RESIDUAL_TOL
+                       for _, _, atol in s["f"])
+            if "out" not in s:
+                # a collocation value that the grid does not resolve, whose
+                # Newton failed; find_eigenvalues skips that seed
+                continue
             grades = [tag for tag, _, _ in s["f"]]
             first = grades.index("value")
             # phase-grade F until the switch, then value-grade F only, the
-            # first at the lambda last taken at the phase grade; every F
-            # after the seed's within Newton's absolute bound
+            # first at the lambda last taken at the phase grade
             assert first >= 1 and set(grades[:first]) == {"phase"}
             assert set(grades[first:]) == {"value"}
             assert s["f"][first][1] == s["f"][first - 1][1]
-            assert s["f"][0][2] == 0.0
-            assert all(0.0 < atol <= 1e-2 * spectrum._RESIDUAL_TOL
-                       for _, _, atol in s["f"][1:])
             # the last step starts from a value-grade F, and the residual
             # is the value-grade |F| at the root
             assert len(grades) - first >= 2
@@ -681,6 +665,21 @@ class TestNewtonGrades:
         assert len(evaluated) == len(set(evaluated))
 
 
+def _collocation_roots(alpha, k_max):
+    """The roots that Newton reaches from find_eigenvalues' collocation
+    seeds: every real root, and pairs from the first k_max + 2 upper
+    seeds."""
+    p = SpectralProblem(alpha)
+    real, upper = spectrum._collocation_seeds(p, k_max)
+    roots = [lam for lam, _ in spectrum._real_roots(p, real)]
+    for seed in upper[:k_max + 2]:
+        try:
+            roots.append(spectrum._newton(p, seed)[0])
+        except (spectrum.NewtonError, ConvergenceError):
+            pass
+    return roots
+
+
 class TestEigenvalueOracle:
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=8)
@@ -688,25 +687,47 @@ class TestEigenvalueOracle:
                lambda a: abs(a - round(a)) > 1e-6),
            k_max=st.integers(1, 20))
     def test_within_four_ulps_of_mpmath(self, alpha, k_max):
-        # every root Newton returns, from the real-axis brackets and the
-        # first k_max asymptotic seeds, whichever Kummer regime or bound
-        # accepted its last steps, is within EIG_RTOL |lambda| of the
-        # 50-digit root. Newton's roots rather than find_eigenvalues':
-        # from alpha ~ 4 with k_max ~ 15 its absolute residual check
-        # refuses roots that are right to the last bit, since |F'| there
-        # makes |F| at the nearest double exceed _RESIDUAL_TOL
-        p = SpectralProblem(alpha)
-        roots = [lam for lam, _ in _real_eigenvalues_generic(p)]
-        for k in range(1, k_max + 1):
-            seed = asymptotic_eigenvalue(p, k, "upper")
-            try:
-                roots.append(spectrum._newton(p, seed)[0])
-            except spectrum.NewtonError:
-                pass
+        # every root Newton returns from find_eigenvalues' collocation
+        # seeds, whichever Kummer regime or bound accepted its last steps,
+        # is within EIG_RTOL |lambda| of the 50-digit root. Newton's roots
+        # rather than find_eigenvalues': from alpha ~ 4 with k_max ~ 15 its
+        # absolute residual check refuses roots that are right to the last
+        # bit, since |F'| there makes |F| at the nearest double exceed
+        # _RESIDUAL_TOL
+        roots = _collocation_roots(alpha, k_max)
         assert len(roots) >= k_max // 2
         for lam in roots:
             root = _mp_root(alpha, lam)
             assert abs(lam - root) <= EIG_RTOL * abs(root), (lam, root)
+
+
+class TestCollocation:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=24)
+    @given(alpha=st.floats(0.05, 8.0).filter(
+               lambda a: abs(a - round(a)) > 1e-6),
+           k_max=st.sampled_from((3, 5)))
+    def test_n_and_one_and_a_half_n_agree(self, alpha, k_max):
+        # seeded from a grid about 1.5 times finer, find_eigenvalues returns
+        # the same eigenvalues to 1e-8 relative, or fails alike
+        def solve():
+            try:
+                return find_eigenvalues(SpectralProblem(alpha), k_max,
+                                        audit=False)
+            except spectrum.SpectrumError as exc:
+                return type(exc)
+
+        ref = solve()
+        with mock.patch.object(spectrum, "collocation_order",
+                               lambda a, n: 3 * collocation_order(a, n) // 2):
+            finer = solve()
+        if isinstance(ref, type):
+            assert finer is ref
+            return
+        assert [(ev.index, ev.branch) for ev in finer] == [
+            (ev.index, ev.branch) for ev in ref]
+        for ev, r in zip(finer, ref):
+            assert abs(ev.value - r.value) <= 1e-8 * abs(r.value), (ev, r)
 
 
 class TestAsymptoticSeeds:
