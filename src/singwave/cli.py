@@ -101,8 +101,10 @@ def _at_least(least):
 
 _POSITIVE = _checked(float, lambda x: 0 < x < math.inf,
                      "positive and finite")
-# the spectrum's asymptotic seeds need Gamma(1 + alpha), which leaves the
-# float range from alpha ~ 170.6
+# every command's alpha: the spectrum's asymptotic seeds need
+# Gamma(1 + alpha), which leaves the float range from alpha ~ 170.6, and an
+# integer alpha's Laguerre poles (simulate --project, extinction) a matrix
+# of alpha - 1 rows
 _ALPHA = _checked(float, lambda x: 0 < x <= 170,
                   "positive and at most 170")
 _CHECKS = ["all", *verify_mod.CHECKS]
@@ -121,13 +123,13 @@ _OPTIONS = {
               "refine_integers": (_at_least(0), 0, {
                   "help": "extra grid levels at 1e-3, 1e-5, ... of "
                           "integers"})},
-    "simulate": {"alpha": (_POSITIVE, None),
+    "simulate": {"alpha": (_ALPHA, None),
                  "preset": (str, "sine:1", {
                      "help": "sine:m | bump | mode:k | file:<path>"}),
                  "T": (_POSITIVE, 4.0), "dt": (_POSITIVE, 5e-4),
                  "N": (_at_least(2), 2000), "project": (bool, False),
                  "snapshots": (_at_least(1), 21), "energy_out": (str, None)},
-    "extinction": {"alpha": (_POSITIVE, None), "preset": (str, "sine:1"),
+    "extinction": {"alpha": (_ALPHA, None), "preset": (str, "sine:1"),
                    "project": (bool, False), "threshold": (_POSITIVE, 1e-2),
                    "dt": (_POSITIVE, 5e-4), "N": (_at_least(8), 2000),
                    "allow_noninteger": (bool, False)},

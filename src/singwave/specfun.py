@@ -54,11 +54,25 @@ _LOCKSTEP_CHUNK = 1024
 # phase grade)
 _ASYM_LOCKSTEP_MIN = 64
 
-# mpmath values kept by _kummer_series_highprec, for Newton's switch of
-# grade: the same z again after one F' call. On the spectral-cold and
+# values kept by _kummer_series_highprec, for Newton's switch of grade: the
+# same z again after one F' call. On the spectral-cold and
 # sweep-continuation job lists (seeds 7, 4242, 8675) 2 entries already
 # evaluate no value twice; 16 is margin
 _HIGHPREC_MEMO = 16
+
+# _kummer_series_exact: the relative error bound it certifies before it
+# rounds to double, and the bits its first pass adds to the error bound's
+# and these 54, so that |M| down to about 2^-80 is certified in one pass
+_EXACT_RTOL = 2.0 ** -54
+_EXACT_GUARD_BITS = 80
+# the bound's float arithmetic is rounded up by this factor a step, more
+# than its own rounding: under 2^-50 a step, and 10,000 * 2^-53 over a sum
+_EXACT_UP = 1.0 + 2.0 ** -32
+
+# above this |z| mpmath's hyp1f1 costs less than the exact series: next to
+# zeros of M(1 - alpha, 2, z) the two took the same ~1 ms at |z| ~ 155 (2 ms
+# against 1 ms at 250, 4.5 against 0.9 at 500; 2-vCPU Xeon, Python 3.11)
+_EXACT_MAX_ABS = 150.0
 
 # E1 by its power series (DLMF 6.6.2) at |z| <= _E1_SWITCH_ABS, and left of
 # the imaginary axis also where the series cancels by at most
@@ -140,33 +154,162 @@ def _kummer_series_double(a, b, z):
     raise ConvergenceError("Kummer series did not converge", z, _SERIES_MAX_TERMS)
 
 
-def _kummer_series_highprec(a, b, z):
-    """M(a, b, z) by mpmath's adaptive-precision hyp1f1.
-
-    Used only in the cancellation-dominated window where neither the
-    double-precision series nor the large-argument expansion reaches the
-    accuracy contract. zeroprec (53 + 1.5|z| + 40 bits) lets an exact zero,
-    such as a terminating series at its root, come back as 0 instead of
-    raising. The value meets both grades, so the last _HIGHPREC_MEMO are
-    kept: a value-grade call at a z whose phase-grade call just reached
-    mpmath (Newton's switch of grade) gets the same value without a second
-    evaluation.
-    """
-    import mpmath as mp
-
-    return _hyp1f1(a, b, z, mp.mp.prec)
-
-
 @functools.lru_cache(maxsize=_HIGHPREC_MEMO)
-def _hyp1f1(a, b, z, prec):
-    """mpmath's hyp1f1 at working precision prec, as a complex."""
+def _kummer_series_highprec(a, b, z):
+    """M(a, b, z) where no double-precision regime meets the bound: near
+    zeros of M, and in the cancellation window at large |Im z|.
+
+    The power series summed exactly in fixed point (_kummer_series_exact)
+    up to |z| = _EXACT_MAX_ABS; mpmath's hyp1f1 (_hyp1f1) beyond it, and
+    where the value leaves the float range. Either value meets both grades,
+    so the last _HIGHPREC_MEMO are kept: a value-grade call at a z whose
+    phase-grade call just came here (Newton's switch of grade) gets the
+    same value without a second evaluation.
+    """
+    if abs(z) <= _EXACT_MAX_ABS:
+        try:
+            return _kummer_series_exact(a, b, z)
+        except OverflowError:
+            pass
+    return _hyp1f1(a, b, z)
+
+
+def _hyp1f1(a, b, z):
+    """mpmath's hyp1f1 at 53 bits, whatever the caller's mpmath precision,
+    as a complex. zeroprec (1.5|z| + 93 bits) lets an exact zero, such as a
+    terminating series at its root, come back as 0 instead of raising."""
     import mpmath as mp
 
     try:
-        return complex(mp.hyp1f1(a, b, z, zeroprec=int(1.5 * abs(z)) + 93))
+        with mp.workprec(53):
+            return complex(mp.hyp1f1(a, b, z,
+                                     zeroprec=int(1.5 * abs(z)) + 93))
     except (ValueError, mp.NoConvergence) as exc:
         raise ConvergenceError(f"mpmath hyp1f1 did not converge: {exc}",
                                z, None) from exc
+
+
+def _kummer_series_exact(a, b, z):
+    """M(a, b, z) by its power series summed exactly in Gaussian-integer
+    fixed point, certified within _EXACT_RTOL |M| and then rounded once:
+    within 2^-54 + 2^-53 < eps of |M|.
+
+    In units of 2^-p, each term is the last times exact integers, floored
+    once per part (_fixed_point_sum); _fixed_point_bound gives the number
+    of terms and a bound on the sum's error. p rises until the bound is
+    within _EXACT_RTOL of |sum|. Where the sum is certified below
+    2^-zeroprec, zeroprec = 1.5|z| + 93 bits (_hyp1f1's), M is taken as 0,
+    as mpmath's zeroprec does: M(-1, 2, 2) = 0. Raises OverflowError past
+    the float range.
+    """
+    zeroprec = int(1.5 * abs(z)) + 93
+    terms, err, p = _fixed_point_bound(a, b, z)
+    while True:
+        re, im = _fixed_point_sum(a, b, z, p, terms)
+        # |sum| / 2^shift from its leading bits: a relative 2^-50 and
+        # 1.5 for the floored shift
+        shift = max(0, max(re.bit_length(), im.bit_length()) - 64)
+        mod = math.hypot(re >> shift, im >> shift)
+        low = mod * (1.0 - 2.0 ** -50) - 1.5
+        high = mod * (1.0 + 2.0 ** -50) + 1.5
+        err_s = math.ldexp(err, -shift)
+        if low - err_s >= err_s / _EXACT_RTOL:
+            one = 1 << p
+            return complex(re / one, im / one)
+        if high + err_s < math.ldexp(1.0, p - zeroprec - shift):
+            return 0j
+        if low > err_s:
+            # |M| is known: enough bits to certify it, and 16 to spare
+            p += math.frexp(err_s / _EXACT_RTOL / (low - err_s))[1] + 16
+        else:
+            # from zeroprec + 58 bits more than err's, M is either
+            # certified or below 2^-zeroprec
+            p = max(p + 64, zeroprec + math.frexp(err)[1] + 58)
+        terms, err, p = _fixed_point_bound(a, b, z, p)
+
+
+def _fixed_point_bound(a, b, z, p=None):
+    """For _fixed_point_sum at precision p: (terms, err, p), the number of
+    terms after the first that leaves a tail below 1/4 unit of 2^-p, and
+    err, the bound on the sum's error in those units.
+
+    A term's error is under sqrt(2) units (one floor per part) plus the
+    last term's error times their ratio |(a + k) z / ((b + k)(k + 1))|, so
+    err depends on p only through the number of terms. The tail past term
+    k is below |term k| rho / (1 - rho) once a + k >= 0 < b + k, where
+    rho = max(1, (a + k) / (b + k)) |z| / (k + 1) bounds every later ratio;
+    the sum stops where that is below 1/4 unit. With p None, p is chosen
+    once the terms have fallen 2^60 below their peak: err's bits plus 54
+    plus _EXACT_GUARD_BITS. Raises OverflowError where the terms or err
+    leave the float range.
+    """
+    abs_z = abs(z)
+    e = err = 0.0  # the last term's error bound, and the sum of them
+    # |term| (scaled by 2^scale once it falls below 2^-900) and its peak;
+    # limit, the scaled |term| at which the tail is 1/4 unit, once p is set
+    mag = peak = 1.0
+    scale = 0
+    limit = -1.0 if p is None else math.ldexp(0.25, -p)
+    for k in range(_SERIES_MAX_TERMS):
+        if p is None and mag < 2.0 ** -60 * peak:
+            p = math.frexp(err)[1] + 54 + _EXACT_GUARD_BITS
+            limit = math.ldexp(0.25, scale - p)
+        if (mag <= limit and a + k >= 0 and b + k > 0
+                and (max(1.0, (a + k) / (b + k)) * abs_z / (k + 1)
+                     * _EXACT_UP <= 0.49)):
+            return k, (err + 0.25) * _EXACT_UP, p
+        if a + k == 0 or abs_z == 0:
+            # the series terminates: every later term is exactly 0
+            if p is None:
+                p = math.frexp(err)[1] + 54 + _EXACT_GUARD_BITS
+            return k, err, p
+        ratio = abs(a + k) * abs_z / (abs(b + k) * (k + 1)) * _EXACT_UP
+        e = (ratio * e + 1.4143) * _EXACT_UP
+        err += e
+        mag *= ratio
+        if err + mag == math.inf:
+            raise OverflowError("fixed-point series past the float range")
+        if mag > peak:
+            peak = mag
+        elif mag < 2.0 ** -900:
+            mag *= 2.0 ** 900
+            scale += 900
+            if p is not None:
+                limit = math.ldexp(0.25, scale - p)
+    raise ConvergenceError("Kummer series did not converge", z,
+                           _SERIES_MAX_TERMS)
+
+
+def _fixed_point_sum(a, b, z, p, terms):
+    """The integer parts (re, im) of sum_{k <= terms} t_k 2^p, t_k the
+    terms of M's series: t_{k+1} = t_k (a + k) z / ((b + k)(k + 1)), formed
+    exactly on the dyadic numerators of a, b and z and floored once per
+    part."""
+    pa, qa = a.as_integer_ratio()
+    pb, qb = b.as_integer_ratio()
+    xr, dr = z.real.as_integer_ratio()
+    xi, di = z.imag.as_integer_ratio()
+    qz = max(dr, di)
+    zr, zi = xr * (qz // dr), xi * (qz // di)
+    # (a + k) z / ((b + k)(k + 1)) = num (zr + i zi) / (den 2^shift), with
+    # num = na and den = nb (k + 1) up to sign; qa, qb and qz are powers
+    # of 2
+    shift = (qa * qz).bit_length() - 1
+    na, nb, step = pa * qb, pb, qa * qb
+    tr, ti = 1 << p, 0
+    re, im = tr, ti
+    for k in range(terms):
+        num, den = na, nb * (k + 1)
+        if den < 0:
+            num, den = -num, -den
+        nzr, nzi = num * zr, num * zi
+        tr, ti = (((tr * nzr - ti * nzi) >> shift) // den,
+                  ((tr * nzi + ti * nzr) >> shift) // den)
+        re += tr
+        im += ti
+        na += step
+        nb += qb
+    return re, im
 
 
 def _asym_sum(p, q, w, tol):
@@ -214,7 +357,8 @@ def _asym_value(a, b, z, s1, tail1, s2, tail2):
     sums' error estimates (_asym_sum) scaled by their prefactors. A
     prefactor past the float range (a Gamma function or a power overflows,
     or Gamma underflows to zero) gives no estimate: (nan, inf), which no
-    grade accepts, so the element goes on to the next regime or mpmath."""
+    grade accepts, so the element goes on to the next regime or the
+    high-precision fallback."""
     eps = 1.0 if z.imag >= 0 else -1.0
     try:
         pref_alg = (cmath.exp(1j * math.pi * a * eps) * z ** (-a)
@@ -258,7 +402,7 @@ def _regimes(rtol, far):
     grade, far being not _near(rtol, |z|, Re z): for values the series, then
     the large-argument expansion only where far; at the phase grade the
     expansion alone where far, else the series and then the expansion.
-    mpmath comes only after these."""
+    The high-precision fallback comes only after these."""
     if rtol < _PHASE_RTOL:
         return ("series", "asymptotic") if far else ("series",)
     return ("asymptotic",) if far else ("series", "asymptotic")
@@ -276,12 +420,14 @@ def kummer_m(a, b, z, *, rtol=_CANCEL_RTOL, atol=0.0):
     inner bound atol / |e^z|); then the power series and the large-argument
     expansion are tried in the order that _regimes chooses from the grade
     and z before anything is summed, and with atol > 0 at the phase grade
-    the expansion's full sums after them. mpmath.hyp1f1 is the fallback
-    where none passes (near zeros of M, and in the cancellation window at
-    large |Im z|). Its value is exact at both grades and kept for the next
-    few calls, so a z taken first at the phase grade and then at the value
-    grade reaches mpmath once. kummer_m_array evaluates the same function
-    over a numpy array, at atol = 0.
+    the expansion's full sums after them. Where none passes (near zeros of
+    M, and in the cancellation window at large |Im z|) the fallback,
+    _kummer_series_highprec, sums the power series exactly in fixed point
+    (mpmath.hyp1f1 only above |z| = _EXACT_MAX_ABS or past the float
+    range). Its value is exact at both grades and kept for the next few
+    calls, so a z taken first at the phase grade and then at the value
+    grade is summed once. kummer_m_array evaluates the same function over
+    a numpy array, at atol = 0.
     """
     if b <= 0 and b == int(b):
         raise ValueError(f"b={b} is a non-positive integer")
@@ -402,7 +548,8 @@ def kummer_m_array(a, b, z, *, rtol=_CANCEL_RTOL):
     kummer_m, each regime in lockstep over the elements that reach it: the
     double series (_kummer_series_lockstep) and the large-argument
     expansion (_kummer_asymptotic_lockstep), neither summed twice for an
-    element. Only the elements that pass neither go to mpmath, one by one.
+    element. Only the elements that pass neither go to the high-precision
+    fallback, one by one.
     """
     if b <= 0 and b == int(b):
         raise ValueError(f"b={b} is a non-positive integer")

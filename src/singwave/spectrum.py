@@ -43,6 +43,13 @@ _RESIDUAL_TOL = 1e-9
 # _NEWTON_RES_ERR _RESIDUAL_TOL
 _NEWTON_ROOT_ERR = 1e-16
 _NEWTON_RES_ERR = 1e-2
+# Newton from an upper collocation seed stops once an iterate leaves the
+# disc of this radius around it: half the pairs' asymptotic spacing. From
+# a value the grid does not resolve it wandered for all _NEWTON_MAX_ITER
+# iterations (10-25 ms). Within ~1e-12 of an integer at kmax 20 some
+# seeds lie 1.4-3.3 from their pair, which the asymptotic seeds or the
+# covering count then find
+_COLLOCATION_SEED_RADIUS = 0.5 * math.pi
 _BOUNDARY_TOL = 1e-9
 # count_zeros' perturbed retries after a zero on the boundary, and
 # _recover_missed's rounds of subdivision
@@ -225,9 +232,10 @@ def _newton_fn(problem, lam, rtol, atol):
     return f
 
 
-def _newton(problem, seed):
+def _newton(problem, seed, radius=math.inf):
     """Damped Newton on the characteristic function, each step at most
-    _NEWTON_MAX_STEP long.
+    _NEWTON_MAX_STEP long; NewtonError as soon as an iterate is farther
+    than radius from the seed.
 
     F is taken at the phase grade while the step it gives is at least
     _NEWTON_VALUE_STEP (1 + |lambda|); below that F is taken again at the
@@ -267,6 +275,8 @@ def _newton(problem, seed):
             lam_new = lam - step
             f_new = _newton_fn(problem, lam_new, rtol, atol)
             halvings += 1
+        if abs(lam_new - seed) > radius:
+            raise NewtonError(seed, "left the seed's disc")
         if rtol == _CANCEL_RTOL and (abs(lam_new - lam)
                                      < _NEWTON_TOL * (1.0 + abs(lam_new))):
             return lam_new, abs(f_new)
@@ -621,9 +631,10 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
 
     For non-integer alpha, Newton runs from the collocation's real values
     nearest 0 (_real_roots) and from its first n_pairs + 2 values in the
-    upper half plane; the asymptotic seeds run only while pairs are still
-    missing, and _recover_missed's covering count finds any pair that both
-    missed."""
+    upper half plane, each given up once it leaves the disc of radius
+    _COLLOCATION_SEED_RADIUS around its seed; the asymptotic seeds run
+    only while pairs are still missing, and _recover_missed's covering
+    count finds any pair that both missed."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     evs = []
@@ -655,9 +666,10 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
     # two seeds to spare, for values that Newton takes elsewhere
     for seed in upper[:n_pairs + 2] if n_pairs else []:
         try:
-            lam, res = _newton(problem, seed)
+            lam, res = _newton(problem, seed,
+                               radius=_COLLOCATION_SEED_RADIUS)
         except (NewtonError, ConvergenceError):
-            # a value the grid does not resolve can lead Newton far away
+            # a value the grid does not resolve leads Newton away
             continue
         _absorb(kept, lam, res, "collocation")
 

@@ -605,6 +605,19 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not any(text in err for text in _FOREIGN_TEXT), err
 
+    @pytest.mark.parametrize("argv", [("simulate", "--project"),
+                                      ("extinction",)])
+    @pytest.mark.parametrize("alpha", ["171.5", "1e300"])
+    def test_time_domain_alpha_past_bound(self, capsys, alpha, argv):
+        # the same domain as spectrum's: at 1e300 the Laguerre poles of
+        # --project and of the extinction study asked numpy for a matrix
+        # of 1e300 rows and exited 1
+        code, out, err = run_cli(capsys, *argv, "--alpha", alpha)
+        assert code == 2
+        assert out == ""
+        assert err == (f"singwave: config error: alpha must be positive and "
+                       f"at most 170, got {alpha!r}\n")
+
     def test_infinite_radius_exits_at_once(self):
         # an infinite radius once made spectrum count asymptotic pairs
         # without end; run in a child, so that a regression fails the test
@@ -739,10 +752,10 @@ _OPTION_SET = {
              f"--step {_P}, --kmax {_N} 1, --at-integers flag, "
              f"--refine-integers {_N} 0, --jobs str, --format csv|json, "
              "--out str, --config str",
-    "simulate": f"-h/--help flag, --alpha {_P}, --preset str, --T {_P}, "
+    "simulate": f"-h/--help flag, --alpha {_A}, --preset str, --T {_P}, "
                 f"--dt {_P}, --N {_N} 2, --project flag, --snapshots {_N} 1, "
                 "--energy-out str, --out str, --config str",
-    "extinction": f"-h/--help flag, --alpha {_P}, --preset str, "
+    "extinction": f"-h/--help flag, --alpha {_A}, --preset str, "
                   f"--project flag, --threshold {_P}, --dt {_P}, --N {_N} 8, "
                   "--allow-noninteger flag, --out str, --config str",
     "verify": f"-h/--help flag, --check all|hardy|resolvent|gupta|pairing, "
@@ -919,3 +932,30 @@ print([m for m in {_TEST_ONLY_SCIPY!r} if m in sys.modules])
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_spectra_leave_out_mpmath(tmp_path):
+    # next to zeros of M, where no double-precision regime meets the
+    # bound, the exact fixed-point series gives the value: the spectra
+    # and sweeps of the benchmark's kinds never import mpmath, though
+    # they reach that series
+    out = str(tmp_path / "out")
+    runs = [["spectrum", "--alpha", "4"],
+            ["spectrum", "--alpha", "1.45", "--kmax", "5"],
+            ["spectrum", "--alpha", repr(3 + 1e-6), "--kmax", "5"],
+            ["spectrum", "--alpha", "0.7", "--kmax", "20"],
+            ["sweep", "--alpha-min", "1.3", "--alpha-max", "1.35",
+             "--step", "0.05", "--kmax", "3"]]
+    code = f"""
+import sys
+from singwave import cli, specfun
+sums = []
+exact = specfun._kummer_series_exact
+specfun._kummer_series_exact = lambda *args: sums.append(args) or exact(*args)
+for argv in {runs!r}:
+    assert cli.main(argv + ["--out", {out!r}]) == 0, argv
+print(len(sums) > 0, "mpmath" in sys.modules)
+"""
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "True False"

@@ -158,6 +158,76 @@ class TestAbsoluteBound:
         assert abs(value - ref) <= atol
 
 
+def _laguerre_roots(n, b):
+    """The zeros of the polynomial M(-n, b, .), rounded to doubles: next to
+    each, |M| is a rounding error of its terms."""
+    coeffs, c = [], 1.0
+    for k in range(n + 1):
+        coeffs.append(c)
+        c *= (k - n) / ((b + k) * (k + 1))
+    return np.roots(coeffs[::-1]).tolist()
+
+
+@st.composite
+def _window_case(draw):
+    """(a, b, z) where the fallback sums the exact series: Re z >= -1 and
+    |z| up to _EXACT_MAX_ABS, with a anywhere, a terminating series, z next
+    to one of its zeros, or z at the exact zero M(-1, b, b) = 0."""
+    b = draw(real_b)
+    kind = draw(st.sampled_from(("any", "terminating", "near zero",
+                                 "zero")))
+    if kind == "zero":
+        return -1.0, b, complex(b)
+    if kind == "near zero":
+        n = draw(st.integers(1, 12))
+        return -float(n), b, draw(st.sampled_from(_laguerre_roots(n, b)))
+    a = -float(draw(st.integers(1, 12))) if kind == "terminating" else (
+        draw(real_a))
+    z = draw(polar_z(0.5, specfun._EXACT_MAX_ABS).filter(
+        lambda z: z.real >= -1.0))
+    return a, b, z
+
+
+class TestExactSeries:
+    """_kummer_series_exact, the fallback's series, against 50-digit mpmath:
+    within eps |M| (one to two units in the last place of |M|), or 0 where
+    |M| is below 2^-zeroprec, as at an exact zero."""
+
+    @kummer_settings
+    @given(case=_window_case())
+    # Newton's values next to zeros: at the integer alpha = 4's audit, at
+    # alpha ~ 1.35 and at alpha = 3 + 9.9e-7, where |z| passes 34
+    @example(case=(-3.0, 2.0, 0.9358222275240878 - 0j))
+    @example(case=(-0.35029, 2.0, 10.804429715281746 - 33.82332799110632j))
+    @example(case=(-2.0000009938368044, 2.0,
+                   34.61011788611581 - 36.579211398746224j))
+    @example(case=(-1.0, 2.0, 2.0 + 0j))
+    def test_within_one_ulp_of_mpmath(self, case):
+        a, b, z = case
+        with mpmath.workdps(50):
+            ref = mpmath.hyp1f1(a, b, mpmath.mpc(z), zeroprec=1000)
+            got = specfun._kummer_series_exact(a, b, z)
+            if got == 0:
+                # certified below 2^-zeroprec, as mpmath's zeroprec
+                assert abs(ref) < 2.0 ** -(int(1.5 * abs(z)) + 93)
+            else:
+                assert abs(mpmath.mpc(got) - ref) <= 2.0 ** -52 * abs(ref)
+
+    def test_mpmath_only_as_last_resort(self, monkeypatch):
+        # above _EXACT_MAX_ABS, and past the float range (1/b = 1e300
+        # makes the terms overflow)
+        calls = []
+        monkeypatch.setattr(specfun, "_hyp1f1",
+                            lambda *args: calls.append(args) or 0j)
+        specfun._kummer_series_highprec.cache_clear()
+        cases = [(0.3, 2.0, 3.0 + 140.0j), (0.3, 2.0, 3.0 + 151.0j),
+                 (1.0, 1e-300, 100.0 + 0j)]
+        values = [specfun._kummer_series_highprec(*case) for case in cases]
+        specfun._kummer_series_highprec.cache_clear()
+        assert calls == cases[1:]
+        assert values[0] == specfun._kummer_series_exact(*cases[0])
+
+
 class TestKummerProperties:
     """Identities of M checked on kummer_m alone, without an mpmath oracle,
     across the series, asymptotic and high-precision regimes."""

@@ -122,10 +122,10 @@ class TestFindEigenvalues:
         # an error, not a shorter list
         newton = spectrum._newton
 
-        def failing(problem, seed):
+        def failing(problem, seed, **kwargs):
             if problem.alpha == 1.5 and seed.imag > 5.0:
                 raise spectrum.NewtonError(seed)
-            return newton(problem, seed)
+            return newton(problem, seed, **kwargs)
 
         monkeypatch.setattr(spectrum, "_newton", failing)
         with pytest.raises(spectrum.SpectrumError,
@@ -494,8 +494,9 @@ class TestPhaseGrade:
     def test_walk_never_reaches_mpmath(self, monkeypatch, alpha, k_max):
         # each phase-grade walk sample finds a double-precision regime: the
         # expansion alone in the large-|z| band, else after the series.
-        # Newton's phase-grade F may reach mpmath next to a zero, so each
-        # fallback is recorded with its grade and whether Newton asked
+        # Newton's phase-grade F may reach the high-precision fallback
+        # next to a zero, so each fallback is recorded with its grade and
+        # whether Newton asked
         grades, fallbacks, newton = [], [], []
 
         def graded(f):
@@ -515,10 +516,10 @@ class TestPhaseGrade:
             return g
 
         def in_newton(f):
-            def g(*args):
+            def g(*args, **kwargs):
                 newton.append(True)
                 try:
-                    return f(*args)
+                    return f(*args, **kwargs)
                 finally:
                     newton.pop()
             return g
@@ -541,28 +542,27 @@ class TestNewtonGrades:
     steps at the value grade, and every F, the seed's too, within its
     absolute bound."""
 
-    # value-grade F calls that reach _kummer_series_highprec (kept mpmath
-    # values included): at most VALUE_FALLBACKS_PER_SOLVE in one Newton
+    # value-grade F calls that reach _kummer_series_highprec (kept values
+    # included): at most VALUE_FALLBACKS_PER_SOLVE in one Newton
     # solve (6, 8 and 10 before the grades), which the cancellation window
     # below |z| = 34 still needs, and at most VALUE_FALLBACKS_MEAN per
     # solve over an alpha's solves (2.4 at each alpha before the absolute
     # bound)
     VALUE_FALLBACKS_PER_SOLVE = 3
     VALUE_FALLBACKS_MEAN = 2.0
-    # no Newton F at |z| >= 34 reaches mpmath at these alphas. At 1.440102
-    # pair 5 sits at |z| = 35.6, where the expansion's own error estimate,
-    # 1.4e-11, is a thousand times the bound, and near alpha = 3 the
-    # expansion's estimate is 1e-9 and more: their fallbacks stay
+    # no Newton F at |z| >= 34 reaches the fallback at these alphas. At
+    # 1.440102 pair 5 sits at |z| = 35.6, where the expansion's own error
+    # estimate, 1.4e-11, is a thousand times the bound, and near alpha = 3
+    # the expansion's estimate is 1e-9 and more: their fallbacks stay
     BAND_FREE = (0.694473,)
 
     @pytest.mark.parametrize("alpha, k_max", [(0.694473, 20),
                                               (1.440102, 5),
                                               (3 + 9.9e-7, 5)])
     def test_grades_by_step(self, monkeypatch, alpha, k_max):
-        import mpmath
-
-        # solves: one record per Newton solve; active while one runs
-        where, solves, active, evaluated = [], [], [], []
+        # solves: one record per Newton solve; active while one runs;
+        # evaluated: the sums of the exact series; last_resort: mpmath
+        where, solves, active, evaluated, last_resort = [], [], [], [], []
 
         def tagged(f):
             def g(problem, lam, rtol, atol):
@@ -594,18 +594,18 @@ class TestNewtonGrades:
                 return f(aa, b, z)
             return g
 
-        def hyp1f1(f):
-            def g(aa, b, z, **kwargs):
+        def exact(f):
+            def g(aa, b, z):
                 evaluated.append((aa, b, complex(z)))
-                return f(aa, b, z, **kwargs)
+                return f(aa, b, z)
             return g
 
         def newton(f):
-            def g(problem, seed):
+            def g(problem, seed, **kwargs):
                 solves.append({"f": [], "fallbacks": []})
                 active.append(True)
                 try:
-                    lam, res = f(problem, seed)
+                    lam, res = f(problem, seed, **kwargs)
                 finally:
                     active.pop()
                 solves[-1]["out"] = (lam, res, problem)
@@ -616,11 +616,14 @@ class TestNewtonGrades:
                             tagged(spectrum._newton_fn))
         monkeypatch.setattr(spectrum, "char_fn_dlam",
                             dlam(spectrum.char_fn_dlam))
+        specfun._kummer_series_highprec.cache_clear()
         monkeypatch.setattr(specfun, "_kummer_series_highprec",
                             high(specfun._kummer_series_highprec))
-        monkeypatch.setattr(mpmath, "hyp1f1", hyp1f1(mpmath.hyp1f1))
+        monkeypatch.setattr(specfun, "_kummer_series_exact",
+                            exact(specfun._kummer_series_exact))
+        monkeypatch.setattr(specfun, "_hyp1f1",
+                            lambda *args: last_resort.append(args))
         monkeypatch.setattr(spectrum, "_newton", newton(spectrum._newton))
-        specfun._hyp1f1.cache_clear()
         find_eigenvalues(SpectralProblem(alpha), k_max)
 
         assert solves
@@ -661,8 +664,11 @@ class TestNewtonGrades:
             assert s["f"][-1][:2] == ("value", lam)
             assert res == abs(problem.newton_values[lam, _CANCEL_RTOL])
         assert value_fallbacks <= self.VALUE_FALLBACKS_MEAN * len(solves)
-        # no lambda reaches mpmath twice, at either grade
+        # no lambda is summed twice, at either grade, and none reaches
+        # mpmath: every |z| is below _EXACT_MAX_ABS
+        assert evaluated
         assert len(evaluated) == len(set(evaluated))
+        assert last_resort == []
 
 
 def _collocation_roots(alpha, k_max):
@@ -728,6 +734,27 @@ class TestCollocation:
             (ev.index, ev.branch) for ev in ref]
         for ev, r in zip(finer, ref):
             assert abs(ev.value - r.value) <= 1e-8 * abs(r.value), (ev, r)
+
+    def test_spurious_seed_given_up_at_the_disc(self, monkeypatch):
+        # at alpha = 3 + 9.9e-7 the grid gives an upper value near
+        # -47.6 + 9.5i that is no root. Newton drifts from it by 0.52 a
+        # step and ran all _NEWTON_MAX_ITER iterations; it now stops at
+        # the first iterate outside the disc of radius pi/2: three steps
+        # stay 0.005 inside it, so F' is taken 4 times, all in the disc
+        p = SpectralProblem(3 + 9.9e-7)
+        _, upper = spectrum._collocation_seeds(p, 5)
+        seed = min(upper[:7], key=lambda lam: lam.real)
+        assert abs(seed - (-47.6 + 9.5j)) < 0.1
+        taken = []
+        dlam = spectrum.char_fn_dlam
+        monkeypatch.setattr(spectrum, "char_fn_dlam",
+                            lambda problem, lam: taken.append(lam)
+                            or dlam(problem, lam))
+        radius = spectrum._COLLOCATION_SEED_RADIUS
+        with pytest.raises(spectrum.NewtonError, match="left the seed's"):
+            spectrum._newton(p, seed, radius=radius)
+        assert len(taken) <= 4
+        assert all(abs(lam - seed) <= radius for lam in taken)
 
 
 class TestAsymptoticSeeds:
