@@ -40,9 +40,10 @@ _ASYM_PHASE_STOP = 1e-3
 
 # Cancellation budget: accept the double-precision series only if the
 # estimated rounding error stays below this relative level. The value grade,
-# _CANCEL_RTOL, is what Newton and the residual checks need; the phase grade,
-# _PHASE_RTOL, bounds the phase error by about 1e-8 rad, which is all an
-# argument-principle walk reads.
+# _CANCEL_RTOL, is the default, for values; the phase grade, _PHASE_RTOL,
+# bounds the phase error by about 1e-8 rad, which is all an
+# argument-principle walk reads, and Newton takes it with an absolute
+# bound that places the root.
 _CANCEL_RTOL = 1e-13
 _PHASE_RTOL = 1e-8
 
@@ -53,12 +54,6 @@ _LOCKSTEP_CHUNK = 1024
 # the lockstep one, whose blocks have a fixed cost (break-even ~70 at the
 # phase grade)
 _ASYM_LOCKSTEP_MIN = 64
-
-# values kept by _kummer_series_highprec, for Newton's switch of grade: the
-# same z again after one F' call. On the spectral-cold and
-# sweep-continuation job lists (seeds 7, 4242, 8675) 2 entries already
-# evaluate no value twice; 16 is margin
-_HIGHPREC_MEMO = 16
 
 # _kummer_series_exact: the relative error bound it certifies before it
 # rounds to double, and the bits its first pass adds to the error bound's
@@ -154,17 +149,13 @@ def _kummer_series_double(a, b, z):
     raise ConvergenceError("Kummer series did not converge", z, _SERIES_MAX_TERMS)
 
 
-@functools.lru_cache(maxsize=_HIGHPREC_MEMO)
 def _kummer_series_highprec(a, b, z):
     """M(a, b, z) where no double-precision regime meets the bound: near
     zeros of M, and in the cancellation window at large |Im z|.
 
     The power series summed exactly in fixed point (_kummer_series_exact)
     up to |z| = _EXACT_MAX_ABS; mpmath's hyp1f1 (_hyp1f1) beyond it, and
-    where the value leaves the float range. Either value meets both grades,
-    so the last _HIGHPREC_MEMO are kept: a value-grade call at a z whose
-    phase-grade call just came here (Newton's switch of grade) gets the
-    same value without a second evaluation.
+    where the value leaves the float range. Either value meets both grades.
     """
     if abs(z) <= _EXACT_MAX_ABS:
         try:
@@ -424,10 +415,8 @@ def kummer_m(a, b, z, *, rtol=_CANCEL_RTOL, atol=0.0):
     M, and in the cancellation window at large |Im z|) the fallback,
     _kummer_series_highprec, sums the power series exactly in fixed point
     (mpmath.hyp1f1 only above |z| = _EXACT_MAX_ABS or past the float
-    range). Its value is exact at both grades and kept for the next few
-    calls, so a z taken first at the phase grade and then at the value
-    grade is summed once. kummer_m_array evaluates the same function over
-    a numpy array, at atol = 0.
+    range), a value exact at both grades. kummer_m_array evaluates the
+    same function over a numpy array, at atol = 0.
     """
     if b <= 0 and b == int(b):
         raise ValueError(f"b={b} is a non-positive integer")

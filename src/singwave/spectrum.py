@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lapack import flapack
-from .specfun import (_CANCEL_RTOL, _PHASE_RTOL, ConvergenceError,
-                      kummer_m, kummer_m_array, kummer_m_dz, laguerre)
+from .specfun import (_PHASE_RTOL, ConvergenceError, kummer_m,
+                      kummer_m_array, kummer_m_dz, laguerre)
 
 INTEGER_ALPHA_TOL = 1e-14
 
@@ -33,10 +33,6 @@ _NEWTON_TOL = 1e-12
 # from the asymptotic seed reached |2 lambda| ~ 1e5, beyond the series'
 # term budget.
 _NEWTON_MAX_STEP = math.pi
-# Newton takes F at the phase grade while the step it gives is at least this
-# times 1 + |lambda|, then at the value grade: a relative error r in F moves
-# the next iterate by r |step|, so only the last steps need F's last digits
-_NEWTON_VALUE_STEP = 1e-7
 _RESIDUAL_TOL = 1e-9
 # Newton's absolute bound on F's error moves the root by at most
 # _NEWTON_ROOT_ERR (1 + |lambda|), below one ulp, and |F| by at most
@@ -102,19 +98,16 @@ class SpectralProblem:
 
     integer_n is integer_n(alpha); pass force_generic=True to disable the
     integer fast path, e.g. when probing the discontinuity at integer alpha.
-    char_values holds F(lambda) by the exact lambda for this problem alone,
-    so that each lambda is evaluated once. phase_values holds, in the same
-    way, the values taken at the phase grade (_PHASE_RTOL): the winding
-    walk's samples. They may steer Newton's early steps but never its last
-    step, an eigenvalue's residual or a zero count's result. newton_values
-    holds Newton's own values, which may meet only an absolute bound.
+    Two caches hold F(lambda) by the exact lambda for this problem alone:
+    phase_values the winding walk's samples, taken at the phase grade
+    (_PHASE_RTOL), and newton_values Newton's values, at the same grade but
+    also accepted within an absolute bound. Neither reads the other, and
+    each evaluates a lambda once.
     """
 
     alpha: float
     force_generic: bool = False
     integer_n: int | None = field(init=False, default=None)
-    char_values: dict = field(init=False, default_factory=dict,
-                              compare=False, repr=False)
     phase_values: dict = field(init=False, default_factory=dict,
                                compare=False, repr=False)
     newton_values: dict = field(init=False, default_factory=dict,
@@ -175,35 +168,26 @@ class Rect:
 
 
 def char_fn(problem, lam):
-    """F(lambda) = M(1 - alpha, 2, -2*lambda), through problem.char_values."""
-    lam = complex(lam)
-    f = problem.char_values.get(lam)
-    if f is None:
-        f = problem.char_values[lam] = kummer_m(1.0 - problem.alpha, 2.0,
-                                                -2.0 * lam)
-    return f
+    """F(lambda) = M(1 - alpha, 2, -2*lambda)."""
+    return kummer_m(1.0 - problem.alpha, 2.0, -2.0 * complex(lam))
 
 
 def _phase_fn(problem, lam):
-    """F(lambda) where its phase is all that is read: the value from
-    problem.char_values if there is one, else at the phase grade through
-    problem.phase_values."""
-    f = problem.char_values.get(lam)
+    """F(lambda) where its phase is all that is read: at the phase grade,
+    through problem.phase_values."""
+    f = problem.phase_values.get(lam)
     if f is None:
-        f = problem.phase_values.get(lam)
-        if f is None:
-            f = problem.phase_values[lam] = kummer_m(
-                1.0 - problem.alpha, 2.0, -2.0 * lam, rtol=_PHASE_RTOL)
+        f = problem.phase_values[lam] = kummer_m(
+            1.0 - problem.alpha, 2.0, -2.0 * lam, rtol=_PHASE_RTOL)
     return f
 
 
 def _phase_fn_many(problem, lams):
-    """_phase_fn at each of lams; the lambdas in neither cache are
-    evaluated in one kummer_m_array call, which meets kummer_m's phase
+    """_phase_fn at each of lams; the lambdas not in problem.phase_values
+    are evaluated in one kummer_m_array call, which meets kummer_m's phase
     grade, or one by one when there are fewer than _ARRAY_MIN_POINTS."""
-    values, phase = problem.char_values, problem.phase_values
-    new = [lam for lam in dict.fromkeys(lams)
-           if lam not in values and lam not in phase]
+    phase = problem.phase_values
+    new = [lam for lam in dict.fromkeys(lams) if lam not in phase]
     if len(new) >= _ARRAY_MIN_POINTS:
         vals = kummer_m_array(1.0 - problem.alpha, 2.0,
                               np.array([-2.0 * lam for lam in new]),
@@ -219,36 +203,31 @@ def char_fn_dlam(problem, lam):
                               rtol=_PHASE_RTOL)
 
 
-def _newton_fn(problem, lam, rtol, atol):
-    """F at lambda for Newton, at rtol's grade within atol: at the phase
-    grade from the problem's phase_values if it holds lambda, else through
-    its newton_values, which only Newton reads."""
-    f = problem.phase_values.get(lam) if rtol == _PHASE_RTOL else None
+def _newton_fn(problem, lam, atol):
+    """F at lambda for Newton, at the phase grade within atol, through the
+    problem's newton_values, which only Newton reads: two Newton runs that
+    reach one root sum its high-precision values once."""
+    f = problem.newton_values.get(lam)
     if f is None:
-        f = problem.newton_values.get((lam, rtol))
-        if f is None:
-            f = problem.newton_values[lam, rtol] = kummer_m(
-                1.0 - problem.alpha, 2.0, -2.0 * lam, rtol=rtol, atol=atol)
+        f = problem.newton_values[lam] = kummer_m(
+            1.0 - problem.alpha, 2.0, -2.0 * lam, rtol=_PHASE_RTOL, atol=atol)
     return f
 
 
 def _newton(problem, seed, radius=math.inf):
     """Damped Newton on the characteristic function, each step at most
     _NEWTON_MAX_STEP long; NewtonError as soon as an iterate is farther
-    than radius from the seed.
+    than radius from the seed, or a step is not finite.
 
-    F is taken at the phase grade while the step it gives is at least
-    _NEWTON_VALUE_STEP (1 + |lambda|); below that F is taken again at the
-    same lambda at the value grade, and so is every later F: the halving
-    tests, the stopping test and the returned residual. A step from a
-    phase-grade F never ends the iteration. Every F, the seed's too, is
-    also accepted within atol, an error that moves the root by at most
-    _NEWTON_ROOT_ERR (1 + |lambda|): next to a zero |F| is tiny against
-    the sums, and no relative bound is met in double precision. So F' comes
-    first at each lambda: atol is read off it.
+    F and F' are taken at the phase grade: a relative error r in F moves
+    the next iterate by r |step|. Every F, the seed's too, is also accepted
+    within atol, an error that moves the root by at most _NEWTON_ROOT_ERR
+    (1 + |lambda|): next to a zero |F| is tiny against the sums, and no
+    relative bound is met in double precision, so from the last long steps
+    on atol is the bound that decides. F' comes first at each lambda: atol
+    is read off it. The returned residual is |F| at the root.
     """
     lam = complex(seed)
-    rtol = _PHASE_RTOL
     f = None
     for _ in range(_NEWTON_MAX_ITER):
         df = char_fn_dlam(problem, lam)
@@ -257,28 +236,24 @@ def _newton(problem, seed, radius=math.inf):
         atol = min(_NEWTON_RES_ERR * _RESIDUAL_TOL,
                    _NEWTON_ROOT_ERR * abs(df) * (1.0 + abs(lam)))
         if f is None:
-            f = _newton_fn(problem, lam, rtol, atol)
+            f = _newton_fn(problem, lam, atol)
         step = f / df
-        if rtol == _PHASE_RTOL and (abs(step)
-                                    < _NEWTON_VALUE_STEP * (1.0 + abs(lam))):
-            rtol = _CANCEL_RTOL
-            f = _newton_fn(problem, lam, rtol, atol)
-            step = f / df
+        if not cmath.isfinite(step):
+            raise NewtonError(seed, "non-finite step")
         if abs(step) > _NEWTON_MAX_STEP:
             step *= _NEWTON_MAX_STEP / abs(step)
         lam_new = lam - step
-        f_new = _newton_fn(problem, lam_new, rtol, atol)
+        f_new = _newton_fn(problem, lam_new, atol)
         # halve on overshoot
         halvings = 0
         while abs(f_new) > abs(f) and halvings < 20:
             step *= 0.5
             lam_new = lam - step
-            f_new = _newton_fn(problem, lam_new, rtol, atol)
+            f_new = _newton_fn(problem, lam_new, atol)
             halvings += 1
         if abs(lam_new - seed) > radius:
             raise NewtonError(seed, "left the seed's disc")
-        if rtol == _CANCEL_RTOL and (abs(lam_new - lam)
-                                     < _NEWTON_TOL * (1.0 + abs(lam_new))):
+        if abs(lam_new - lam) < _NEWTON_TOL * (1.0 + abs(lam_new)):
             return lam_new, abs(f_new)
         lam, f = lam_new, f_new
     raise NewtonError(seed)

@@ -137,6 +137,29 @@ class TestFindEigenvalues:
                                      "pairs (alpha=1.5)")]
         assert {p.alpha for p in pts} == {1.6}
 
+    def test_nan_step_skips_the_seed(self, monkeypatch):
+        # F is NaN at the first upper collocation seed: the NaN step would
+        # pass the step cap and the disc test, which compare, so Newton
+        # raises NewtonError, the solve skips that seed and the pair it
+        # would have reached comes from elsewhere
+        ref = find_eigenvalues(SpectralProblem(1.5), 3)
+        seed = spectrum._collocation_seeds(SpectralProblem(1.5), 3)[1][0]
+        newton_fn = spectrum._newton_fn
+
+        def nan_at_seed(problem, lam, *args):
+            if lam == seed:
+                return complex(math.nan, math.nan)
+            return newton_fn(problem, lam, *args)
+
+        monkeypatch.setattr(spectrum, "_newton_fn", nan_at_seed)
+        with pytest.raises(spectrum.NewtonError, match="non-finite step"):
+            spectrum._newton(SpectralProblem(1.5), seed)
+        evs = find_eigenvalues(SpectralProblem(1.5), 3)
+        assert [(ev.index, ev.branch) for ev in evs] == [
+            (ev.index, ev.branch) for ev in ref]
+        for ev, r in zip(evs, ref):
+            assert abs(ev.value - r.value) <= EIG_RTOL * abs(r.value)
+
     @pytest.mark.parametrize("m, diving", [(2, -22.10), (3, -25.31),
                                            (4, -28.32)])
     def test_just_above_integer(self, m, diving):
@@ -300,10 +323,10 @@ class TestScipyOracles:
 class TestCharValues:
     def test_each_lambda_evaluated_once(self, monkeypatch):
         # every evaluation of F in the solve goes through the problem's
-        # three caches, and
-        # each cache evaluates a lambda at most once per grade. Only
-        # Newton's calls carry an absolute bound, and their values stay in
-        # newton_values, which nothing but Newton reads
+        # two caches, both at the phase grade, and each cache evaluates a
+        # lambda at most once. Only Newton's calls carry an absolute bound,
+        # and their values stay in newton_values, which nothing but Newton
+        # reads
         p = SpectralProblem(0.7)
         a = 1.0 - p.alpha
         seen = []  # (z, rtol, atol)
@@ -325,26 +348,22 @@ class TestCharValues:
         evs = find_eigenvalues(p, 4)
         assert len(evs) == 8
         assert p.phase_values and p.newton_values
-        newton = {(-2.0 * lam, r) for lam, r in p.newton_values}
-        assert len(seen) == (len(p.char_values) + len(p.phase_values)
-                             + len(newton))
-        assert {(z, r) for z, r, atol in seen if atol} <= newton
-        for rtol, cache in ((_CANCEL_RTOL, p.char_values),
-                            (_PHASE_RTOL, p.phase_values)):
-            assert {-2.0 * lam for lam in cache} <= {
-                z for z, r, atol in seen if r == rtol and not atol}
-        assert {r for _, r, _ in seen} == {_CANCEL_RTOL, _PHASE_RTOL}
-        assert any(atol for _, _, atol in seen)
+        assert len(seen) == len(p.phase_values) + len(p.newton_values)
+        assert {z for z, _, atol in seen if atol} == {
+            -2.0 * lam for lam in p.newton_values}
+        assert {z for z, _, atol in seen if not atol} == {
+            -2.0 * lam for lam in p.phase_values}
+        assert {r for _, r, _ in seen} == {_PHASE_RTOL}
 
     def test_cache_per_problem(self):
         p = SpectralProblem(1.5)
         find_eigenvalues(p, 2)
         assert p.newton_values
         q = SpectralProblem(1.6)
-        assert q.char_values == {} and q.newton_values == {}
+        assert q.newton_values == {}
         assert SpectralProblem(1.5) == p
         assert hash(SpectralProblem(1.5)) == hash(p)
-        for cache in ("char_values", "phase_values", "newton_values"):
+        for cache in ("phase_values", "newton_values"):
             assert cache not in repr(p)
         assert p.phase_values and q.phase_values == {}
 
@@ -466,7 +485,8 @@ class TestPhaseGrade:
         lam = next(iter(p.phase_values))
         p.phase_values[lam] *= 2.0
         assert char_fn(p, lam) == kummer_m(1.0 - p.alpha, 2.0, -2.0 * lam)
-        assert spectrum._phase_fn(p, lam) == char_fn(p, lam)
+        # and the walk reads its own cache alone
+        assert spectrum._phase_fn(p, lam) == p.phase_values[lam]
 
     @pytest.mark.parametrize("alpha", [0.7, 2.3])
     @pytest.mark.parametrize("factor", [1 + 1e-9, 1 + 1e-9j])
@@ -494,9 +514,9 @@ class TestPhaseGrade:
     def test_walk_never_reaches_mpmath(self, monkeypatch, alpha, k_max):
         # each phase-grade walk sample finds a double-precision regime: the
         # expansion alone in the large-|z| band, else after the series.
-        # Newton's phase-grade F may reach the high-precision fallback
-        # next to a zero, so each fallback is recorded with its grade and
-        # whether Newton asked
+        # Newton's F, at the same grade, may reach the high-precision
+        # fallback next to a zero, so each fallback is recorded with its
+        # grade and whether Newton asked
         grades, fallbacks, newton = [], [], []
 
         def graded(f):
@@ -533,21 +553,20 @@ class TestPhaseGrade:
         p = SpectralProblem(alpha)
         find_eigenvalues(p, k_max)
         assert p.phase_values
-        assert (_CANCEL_RTOL, True) in fallbacks  # the spy sees Newton's
+        assert (_PHASE_RTOL, True) in fallbacks  # the spy sees Newton's
         assert (_PHASE_RTOL, False) not in fallbacks
 
 
 class TestNewtonGrades:
-    """Newton takes F' and its long steps at the phase grade, its last
-    steps at the value grade, and every F, the seed's too, within its
-    absolute bound."""
+    """Newton takes F' and F at the phase grade, and every F, the seed's
+    too, within its absolute bound."""
 
-    # value-grade F calls that reach _kummer_series_highprec (kept values
-    # included): at most VALUE_FALLBACKS_PER_SOLVE in one Newton
-    # solve (6, 8 and 10 before the grades), which the cancellation window
-    # below |z| = 34 still needs, and at most VALUE_FALLBACKS_MEAN per
-    # solve over an alpha's solves (2.4 at each alpha before the absolute
-    # bound)
+    # Newton's F calls that reach _kummer_series_highprec: at most
+    # VALUE_FALLBACKS_PER_SOLVE in one Newton solve (6, 8 and 10 when
+    # every F was taken at the value grade), which the cancellation
+    # window below |z| = 34 still needs, and at most VALUE_FALLBACKS_MEAN
+    # per solve over an alpha's solves (2.4 at each alpha before the
+    # absolute bound)
     VALUE_FALLBACKS_PER_SOLVE = 3
     VALUE_FALLBACKS_MEAN = 2.0
     # no Newton F at |z| >= 34 reaches the fallback at these alphas. At
@@ -565,13 +584,12 @@ class TestNewtonGrades:
         where, solves, active, evaluated, last_resort = [], [], [], [], []
 
         def tagged(f):
-            def g(problem, lam, rtol, atol):
-                tag = "value" if rtol == _CANCEL_RTOL else "phase"
+            def g(problem, lam, atol):
                 if active:
-                    solves[-1]["f"].append((tag, complex(lam), atol))
-                where.append((tag, complex(lam), atol))
+                    solves[-1]["f"].append(("f", complex(lam), atol))
+                where.append(("f", complex(lam), atol))
                 try:
-                    return f(problem, lam, rtol, atol)
+                    return f(problem, lam, atol)
                 finally:
                     where.pop()
             return g
@@ -616,7 +634,6 @@ class TestNewtonGrades:
                             tagged(spectrum._newton_fn))
         monkeypatch.setattr(spectrum, "char_fn_dlam",
                             dlam(spectrum.char_fn_dlam))
-        specfun._kummer_series_highprec.cache_clear()
         monkeypatch.setattr(specfun, "_kummer_series_highprec",
                             high(specfun._kummer_series_highprec))
         monkeypatch.setattr(specfun, "_kummer_series_exact",
@@ -631,8 +648,8 @@ class TestNewtonGrades:
         for s in solves:
             tags = [fb[0] for fb in s["fallbacks"]]
             assert "dlam" not in tags
-            assert tags.count("value") <= self.VALUE_FALLBACKS_PER_SOLVE
-            value_fallbacks += tags.count("value")
+            assert tags.count("f") <= self.VALUE_FALLBACKS_PER_SOLVE
+            value_fallbacks += tags.count("f")
             for tag, lam, atol, aa, b, z in s["fallbacks"]:
                 if abs(z) < 34.0:
                     continue
@@ -650,25 +667,32 @@ class TestNewtonGrades:
                 # a collocation value that the grid does not resolve, whose
                 # Newton failed; find_eigenvalues skips that seed
                 continue
-            grades = [tag for tag, _, _ in s["f"]]
-            first = grades.index("value")
-            # phase-grade F until the switch, then value-grade F only, the
-            # first at the lambda last taken at the phase grade
-            assert first >= 1 and set(grades[:first]) == {"phase"}
-            assert set(grades[first:]) == {"value"}
-            assert s["f"][first][1] == s["f"][first - 1][1]
-            # the last step starts from a value-grade F, and the residual
-            # is the value-grade |F| at the root
-            assert len(grades) - first >= 2
+            # the residual is |F| at the root, Newton's last F
             lam, res, problem = s["out"]
-            assert s["f"][-1][:2] == ("value", lam)
-            assert res == abs(problem.newton_values[lam, _CANCEL_RTOL])
+            assert s["f"][-1][1] == lam
+            assert res == abs(problem.newton_values[lam])
         assert value_fallbacks <= self.VALUE_FALLBACKS_MEAN * len(solves)
-        # no lambda is summed twice, at either grade, and none reaches
-        # mpmath: every |z| is below _EXACT_MAX_ABS
+        # no lambda is summed twice, and none reaches mpmath: every |z| is
+        # below _EXACT_MAX_ABS
         assert evaluated
         assert len(evaluated) == len(set(evaluated))
         assert last_resort == []
+
+
+class TestFallbackSeeds:
+    """Within about 1e-12 of an integer at kmax 20 some collocation seeds
+    miss their pairs, which then come from the asymptotic seeds and from
+    the covering count's subdivision (_locate_in_rect)."""
+
+    @pytest.mark.parametrize("alpha", [3 + 1e-13, 3 - 1e-12])
+    def test_pairs_from_every_source(self, alpha):
+        evs = find_eigenvalues(SpectralProblem(alpha), 20)
+        upper = [ev for ev in evs if ev.branch == "upper"]
+        assert len(upper) == 20
+        assert {"asymptotic", "scan"} <= {ev.seed_source for ev in upper}
+        for ev in upper:
+            root = _mp_root(alpha, ev.value)
+            assert abs(ev.value - root) <= EIG_RTOL * abs(root), (ev, root)
 
 
 def _collocation_roots(alpha, k_max):
