@@ -389,6 +389,20 @@ def cmd_extinction(args, cfg):
                           "pass --allow-noninteger to override")
     if cfg["project"]:
         _mode_count(alpha, "--project requires")
+    # refinement trend over three grid levels, each read at its first
+    # sample at t >= 2.2 on the grid simulate makes up to T = 4. The coarse
+    # levels are read there alone, so they run to that step and no further;
+    # the finest runs to T = 4 for the extinction time, tail and decay rate.
+    base_N, base_dt = cfg["N"], cfg["dt"]
+    levels = []
+    for N_l, dt_l in ((base_N // 4, base_dt * 4), (base_N // 2, base_dt * 2),
+                      (base_N, base_dt)):
+        times = np.arange(round(4.0 / dt_l) + 1) * dt_l
+        idx = int(np.searchsorted(times, 2.2))
+        if idx == len(times):
+            raise ConfigError(f"refinement level dt={dt_l} has no time "
+                              f"sample at t >= 2.2; use a smaller --dt")
+        levels.append((N_l, dt_l, idx))
     data = make_initial_data(cfg["preset"], alpha)
     report = {"alpha": alpha, "preset": cfg["preset"],
               "projected": cfg["project"]}
@@ -397,21 +411,14 @@ def cmd_extinction(args, cfg):
     if cfg["project"]:
         data = project_out(data, n)
 
-    # refinement trend over three grid levels
-    base_N, base_dt = cfg["N"], cfg["dt"]
-    levels = [(base_N // 4, base_dt * 4), (base_N // 2, base_dt * 2),
-              (base_N, base_dt)]
     trend = []
-    run = None
-    for N_l, dt_l in levels:
-        run = simulate(alpha, data, 4.0, dt_l, N=N_l)
-        tr = run.trace
-        idx = int(np.searchsorted(tr.times, 2.2))
-        if idx == len(tr.times):
-            raise ConfigError(f"refinement level dt={dt_l} has no time "
-                              f"sample at t >= 2.2; use a smaller --dt")
+    for i, (N_l, dt_l, idx) in enumerate(levels):
+        finest = i == len(levels) - 1
+        run = simulate(alpha, data, 4.0 if finest else idx * dt_l, dt_l,
+                       N=N_l)
+        energies = run.trace.energies
         trend.append({"N": N_l, "dt": dt_l,
-                      "residual_ratio": tr.energies[idx] / tr.energies[0]})
+                      "residual_ratio": energies[idx] / energies[0]})
     report["refinement_trend"] = trend
     t_star = extinction_time(run, cfg["threshold"])
     report["extinction_time"] = t_star

@@ -21,6 +21,22 @@ factored once by LAPACK's dpttrf and every step is one dpttrs solve in
 place, both called on scipy's compiled wrappers (singwave.lapack, which
 leaves scipy.linalg unimported). L u = diff(u_x)/h reuses the u_x of the
 last step's energy audit.
+
+The solve is handed the factor (d/2, e) of A/2, so it returns p = 2q
+itself: v' = p - v rounds once and c p is dt q. This p is, bit for bit, the
+doubled 2q of a solve with (d, e). The factor of A/2 has the same e and half
+the d, each halving exact; dpttrs's forward sweep reads e alone, and in its
+back substitution b_i/d_i - b_{i+1} e_i every term doubles, and doubling
+commutes with rounding. It does so only in the normal range: where a
+quotient or product is subnormal, the bits can differ (sine data of amplitude
+1e-305 step to other bits than the doubled solve, 1e-300 to the same).
+Such data have E(0) = 0, the squares underflowing, and a zero E(0) is
+never audited.
+
+The step's scalars c/h, c and h reach their ufuncs as 0-d arrays, and the
+outputs are passed positionally: numpy converts a Python float operand,
+and parses an out= keyword, on every call, which costs more than the
+arithmetic itself at a few hundred nodes.
 """
 
 from __future__ import annotations
@@ -126,15 +142,18 @@ def simulate(alpha, initial, T, dt, N=2000, snapshot_times=None,
     v = np.array(initial.u1(x), dtype=float)
     u_x = np.empty(N + 1)
     rhs = np.empty(N)
-    # the loop's slices and bound routines, made once
-    subtract, divide, isfinite = np.subtract, np.divide, math.isfinite
+    # the loop's slices, bound routines and 0-d scalars, made once
+    add, subtract, multiply, divide = (np.add, np.subtract, np.multiply,
+                                       np.divide)
+    isfinite = math.isfinite
     u_hi, u_lo, ux_hi, ux_lo = u_ext[1:], u_ext[:-1], u_x[1:], u_x[:-1]
     ux_dot, v_dot, dpttrs = u_x.dot, v.dot, flapack.dpttrs
+    h_0d = np.array(h)
 
     def audit_energy():
         # energy() on the buffers, same formula; u_x feeds the next step
-        subtract(u_hi, u_lo, out=u_x)
-        divide(u_x, h, out=u_x)
+        subtract(u_hi, u_lo, u_x)
+        divide(u_x, h_0d, u_x)
         return h * float(ux_dot(u_x)) + h * float(v_dot(v))
 
     n_steps = int(round(T / dt))
@@ -146,6 +165,7 @@ def simulate(alpha, initial, T, dt, N=2000, snapshot_times=None,
     if info != 0:
         raise EvolutionError(f"step-matrix factorization failed "
                              f"(dpttrf info={info})")
+    d_half = d_fac * 0.5  # the factor of A/2: the solve returns 2q
 
     if snapshot_times is None:
         snapshot_times = list(np.linspace(0.0, n_steps * dt, n_snapshots))
@@ -160,24 +180,23 @@ def simulate(alpha, initial, T, dt, N=2000, snapshot_times=None,
                              "cannot run")
     times = np.arange(n_steps + 1) * dt
     energies = np.empty(n_steps + 1)
-    energies[0] = e0
+    energies[0] = e_prev = e0
     snaps, snap_times = [], []
     if 0 in snap_steps:
         snaps.append(State(u.copy(), v.copy()))
         snap_times.append(0.0)
     max_inc = 0.0
-    c_h = c / h
+    c_h, c_0d = np.array(c / h), np.array(c)
     for step in range(1, n_steps + 1):
-        # A q = v + c L u with L u = diff(u_x) / h; then q becomes 2q, so
-        # v' = 2q - v rounds once and c (2q) is dt q exactly
-        subtract(ux_hi, ux_lo, out=rhs)
-        rhs *= c_h
-        rhs += v
-        q, _info = dpttrs(d_fac, e_fac, rhs, 1)  # overwrite_b
-        q *= 2.0
-        subtract(q, v, out=v)
-        q *= c
-        u += q
+        # (A/2) p = v + c L u with L u = diff(u_x) / h, so p = 2q; then
+        # v' = p - v and u' = u + c p
+        subtract(ux_hi, ux_lo, rhs)
+        multiply(rhs, c_h, rhs)
+        add(rhs, v, rhs)
+        p, _info = dpttrs(d_half, e_fac, rhs, 1)  # overwrite_b
+        subtract(p, v, v)
+        multiply(p, c_0d, p)
+        add(u, p, u)
         e = audit_energy()
         # NaN and inf reach e through the squares, so a finite e is a
         # finite state; a finite state whose energy overflows goes on to
@@ -186,12 +205,12 @@ def simulate(alpha, initial, T, dt, N=2000, snapshot_times=None,
                                     and np.isfinite(v).all()):
             raise EvolutionError(f"linear solve produced non-finite state "
                                  f"at step {step}")
-        inc = (e - energies[step - 1]) / e0 if e0 > 0 else 0.0
+        inc = (e - e_prev) / e0 if e0 > 0 else 0.0
         if inc > max_inc:
             max_inc = inc
         if inc > _ENERGY_INCREASE_TOL:
             raise EnergyIncreaseError(step, inc)
-        energies[step] = e
+        energies[step] = e_prev = e
         if step in snap_steps:
             snaps.append(State(u.copy(), v.copy()))
             snap_times.append(step * dt)

@@ -15,7 +15,7 @@ import pytest
 from singwave import cli, specfun, spectrum
 from singwave.cli import main
 from singwave.data import bump_data
-from singwave.evolution import simulate
+from singwave.evolution import project_out, simulate
 from singwave.spectrum import SpectralProblem
 
 
@@ -464,12 +464,53 @@ class TestExtinction:
         assert code == 1
         assert "computation error: window too short for a fit" in err
 
-    def test_coarse_dt_is_config_error(self, capsys):
-        # the coarsest level (dt x 4 = 10) has one sample, none at t = 2.2
+    def test_coarse_dt_is_config_error(self, capsys, monkeypatch):
+        # the coarsest level (dt x 4 = 10) has one sample, none at t = 2.2;
+        # refused before any level runs
+        calls = []
+        monkeypatch.setattr(cli, "simulate",
+                            lambda *a, **kw: calls.append(a))
         code, _, err = run_cli(capsys, "extinction", "--alpha", "2",
                                "--N", "40", "--dt", "2.5")
         assert code == 2
         assert "config error: refinement level dt=10.0" in err
+        assert "no time sample at t >= 2.2" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("alpha, preset, project", [
+        ("1", "sine:1", False), ("2", "sine:1", True), ("3", "bump", True)])
+    def test_coarse_levels_stop_at_their_sample(self, capsys, monkeypatch,
+                                                alpha, preset, project):
+        # each level's residual ratio is E(2.2)/E(0) of a full T = 4 run,
+        # bit for bit, although the coarse levels stop at that sample
+        steps = []
+
+        def spy(*args, **kwargs):
+            run = simulate(*args, **kwargs)
+            steps.append(len(run.trace.times) - 1)
+            return run
+
+        monkeypatch.setattr(cli, "simulate", spy)
+        argv = ["extinction", "--alpha", alpha, "--preset", preset,
+                "--N", "40", "--dt", "0.01"]
+        code, out, err = run_cli(capsys, *argv,
+                                 *(["--project"] if project else []))
+        assert code == 0, err
+        trend = json.loads(out)["report"]["refinement_trend"]
+        data = cli.make_initial_data(preset, float(alpha))
+        if project:
+            data = project_out(data, int(alpha) - 1)
+        want_steps = []
+        for level, (N, dt) in zip(trend, [(10, 0.04), (20, 0.02),
+                                          (40, 0.01)]):
+            assert (level["N"], level["dt"]) == (N, dt)
+            full = simulate(float(alpha), data, 4.0, dt, N=N).trace
+            idx = int(np.searchsorted(full.times, 2.2))
+            assert level["residual_ratio"] \
+                == full.energies[idx] / full.energies[0]
+            want_steps.append(idx)
+        want_steps[-1] = 400  # the finest level runs to T = 4
+        assert steps == want_steps
 
     @pytest.mark.parametrize("alpha", ["12", "13"])
     def test_tail_past_tiny_residues(self, capsys, alpha):
