@@ -101,10 +101,11 @@ def _at_least(least):
 
 _POSITIVE = _checked(float, lambda x: 0 < x < math.inf,
                      "positive and finite")
-# every command's alpha: the spectrum's asymptotic seeds need
-# Gamma(1 + alpha), which leaves the float range from alpha ~ 170.6, and an
-# integer alpha's Laguerre poles (simulate --project, extinction) a matrix
-# of alpha - 1 rows
+# every command's alpha: an integer alpha's Laguerre poles (simulate
+# --project, extinction) come from a matrix of alpha - 1 rows and are
+# tested against mpmath up to alpha = 170; from alpha ~ 170.6 on,
+# Gamma(1 + alpha) leaves the float range, and with it the Kummer
+# function's large-argument expansion
 _ALPHA = _checked(float, lambda x: 0 < x <= 170,
                   "positive and at most 170")
 _CHECKS = ["all", *verify_mod.CHECKS]

@@ -4,8 +4,7 @@
 and with it numpy.f2py, numpy.testing, numpy.ma and numpy.random: most of a
 command's start-up, for the few LAPACK routines the package calls. So the
 f2py extension module scipy/linalg/_flapack, which scipy.linalg.lapack
-re-exports, is loaded here from its file. The callers pass the arrays that
-scipy's own wrappers would, so the same compiled code gives the same bits.
+re-exports, is loaded here from its file.
 """
 
 from __future__ import annotations
@@ -38,9 +37,3 @@ def _load():
 
 
 flapack = _load()
-
-
-def routine(name, like):
-    """The double-precision LAPACK routine `name` for the dtype of the
-    array `like`: d<name> for real data, z<name> for complex."""
-    return getattr(flapack, ("z" if like.dtype.kind == "c" else "d") + name)

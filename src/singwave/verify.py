@@ -22,42 +22,24 @@ from .laplace import LaplaceRHS
 from .spectrum import laguerre_poles, standing_mode
 
 
-def hardy_check(psi, dpsi=None):
+def hardy_check(psi):
     """(lhs, rhs) of int |psi|^2/x^2 <= 4 int |psi'|^2 for psi(0)=psi(1)=0.
 
-    psi may be a piecewise polynomial (anything exposing breakpoints .x and
-    derivative(): a data.Spline, a scipy PPoly), a callable with optional
-    derivative, or a grid vector on a uniform interior grid. Grid vectors,
-    and callables given without a derivative, are replaced by their cubic
-    spline.
+    psi is a piecewise polynomial: anything exposing breakpoints .x and
+    derivative(), a data.Spline or a scipy PPoly.
 
     Both integrals use the composite 16-point Gauss-Legendre rule of
-    evolution._gauss_legendre. For a spline the panels are its own pieces
-    split at the rule's 64 uniform panels, so no panel crosses a knot:
-    4 int |psi'|^2 is exact (degree 4 per panel), and so is
-    int |psi|^2/x^2 on the first piece, where psi(0) = 0 makes psi/x a
-    polynomial. With uniform knots, 1/x^2 is analytic at least three
-    half-widths away from every panel beyond the first piece, where the
-    rule's relative error is below 1e-20. No node sits at x = 0. A plain
-    callable, evaluated one scalar at a time, uses the 64 uniform panels.
+    evolution._gauss_legendre, on psi's own pieces split at the rule's 64
+    uniform panels, so no panel crosses a knot: 4 int |psi'|^2 is exact
+    (degree 4 per panel), and so is int |psi|^2/x^2 on the first piece,
+    where psi(0) = 0 makes psi/x a polynomial. With uniform knots, 1/x^2 is
+    analytic at least three half-widths away from every panel beyond the
+    first piece, where the rule's relative error is below 1e-20. No node
+    sits at x = 0.
     """
-    piecewise = lambda f: hasattr(f, "x") and hasattr(f, "derivative")
-    if not callable(psi):
-        vals = np.asarray(psi, dtype=float)
-        x = np.linspace(0.0, 1.0, len(vals) + 2)
-        psi = Spline.interpolate(x, np.concatenate([[0.0], vals, [0.0]]))
-    elif dpsi is None and not piecewise(psi):
-        spline_x = np.linspace(0.0, 1.0, 2001)
-        psi = Spline.interpolate(spline_x, psi(spline_x))
-    if piecewise(psi):
-        if dpsi is None:
-            dpsi = psi.derivative()
-    else:
-        psi = np.vectorize(psi, otypes=[float])
-        dpsi = np.vectorize(dpsi, otypes=[float])
     x, w = _gauss_legendre(psi)
     lhs = float(w @ (psi(x) / x) ** 2)
-    rhs = 4.0 * float(w @ dpsi(x) ** 2)
+    rhs = 4.0 * float(w @ psi.derivative()(x) ** 2)
     return lhs, rhs
 
 
@@ -172,7 +154,7 @@ def run_all(seed=0, trials=200, n_max=20, check="all"):
         worst = 0.0
         for _ in range(trials):
             su, _sv = random_witness(rng)
-            lhs, rhs = hardy_check(su, su.derivative())
+            lhs, rhs = hardy_check(su)
             if rhs > 0:
                 worst = max(worst, lhs / rhs)
             ok = ok and lhs <= rhs * (1.0 + 1e-6)

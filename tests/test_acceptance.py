@@ -277,7 +277,7 @@ def test_criterion_14_verification_suite():
     hardy_worst = 0.0
     for _ in range(100):
         su, _ = random_witness(rng)
-        lhs, rhs = hardy_check(su, su.derivative())
+        lhs, rhs = hardy_check(su)
         hardy_ok &= lhs <= rhs * (1 + 1e-6)
         hardy_worst = max(hardy_worst, lhs / rhs)
     res_ratio = resolvent_bound_check(2.0, 0.0, 5.0, trials=200, N=1000,

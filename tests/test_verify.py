@@ -41,16 +41,22 @@ def _scalar_quad_hardy(psi, dpsi):
     return lhs, rhs
 
 
+def _spline_of(f, n_knots):
+    x = np.linspace(0.0, 1.0, n_knots)
+    return Spline.interpolate(x, f(x))
+
+
 class TestHardy:
     def test_closed_form(self):
-        lhs, rhs = hardy_check(lambda x: x * (1 - x), lambda x: 1 - 2 * x)
+        # the spline reproduces the parabola x (1 - x)
+        lhs, rhs = hardy_check(_spline_of(lambda x: x * (1 - x), 5))
         assert lhs == pytest.approx(1.0 / 3.0, rel=0, abs=1e-15)
         assert rhs == pytest.approx(4.0 / 3.0, rel=0, abs=1e-15)
 
     def test_sine(self):
-        # scalar-only math callables go through the plain-callable rule
-        lhs, rhs = hardy_check(lambda x: math.sin(math.pi * x),
-                               lambda x: math.pi * math.cos(math.pi * x))
+        # the spline through sin(pi x) on 2001 knots: both integrals within
+        # 1e-13 (measured 1.6e-14 and 1.7e-14)
+        lhs, rhs = hardy_check(_spline_of(lambda x: np.sin(np.pi * x), 2001))
         with mpmath.workdps(30):
             ref = mpmath.quad(lambda x: (mpmath.sin(mpmath.pi * x) / x) ** 2,
                               [0, 1])
@@ -62,24 +68,20 @@ class TestHardy:
         rng = np.random.default_rng(11)
         for _ in range(100):
             su, _ = random_witness(rng)
-            lhs, rhs = hardy_check(su, su.derivative())
+            lhs, rhs = hardy_check(su)
             assert lhs <= rhs * (1 + 1e-6)
 
     def test_grid_input(self):
-        x = np.linspace(0, 1, 102)[1:-1]
-        lhs, rhs = hardy_check(np.sin(np.pi * x))
+        # grid samples with their Dirichlet ends, through their spline
+        lhs, rhs = hardy_check(_spline_of(lambda x: np.sin(np.pi * x), 102))
         assert lhs <= rhs
 
     def test_matches_mpmath_per_piece(self):
         rng = np.random.default_rng(5)
         splines = [random_witness(rng)[0] for _ in range(5)]
-        vals = np.sin(np.pi * np.linspace(0, 1, 102)[1:-1])
-        grid_spline = CubicSpline(np.linspace(0, 1, 102),
-                                  np.concatenate([[0.0], vals, [0.0]]))
-        cases = [(s, (s, s.derivative())) for s in splines]
-        cases.append((grid_spline, (vals,)))
-        for spline, args in cases:
-            got = hardy_check(*args)
+        splines.append(_spline_of(lambda x: np.sin(np.pi * x), 102))
+        for spline in splines:
+            got = hardy_check(spline)
             ref = _mp_spline_integrals(spline)
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-14 * abs(r)
@@ -88,24 +90,21 @@ class TestHardy:
         rng = np.random.default_rng(6)
         for _ in range(5):
             su, _ = random_witness(rng)
-            got = hardy_check(su, su.derivative())
+            got = hardy_check(su)
             ref = _scalar_quad_hardy(su, su.derivative())
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-10 * abs(r)
 
     def test_scipy_ppoly_is_piecewise_too(self):
         # a caller's scipy spline is split at its own knots, as the
-        # package's spline is
+        # package's spline is: within 4 eps relative (measured 1.5 eps)
         rng = np.random.default_rng(8)
         knots = np.linspace(0.0, 1.0, 12)
         vals = np.concatenate([[0.0], rng.standard_normal(10), [0.0]])
         ref = hardy_check(Spline.interpolate(knots, vals))
-        assert hardy_check(CubicSpline(knots, vals)) == ref
-
-    def test_callable_without_derivative(self):
-        lhs, rhs = hardy_check(lambda x: np.sin(np.pi * x))
-        assert rhs == pytest.approx(2.0 * math.pi ** 2, rel=1e-10)
-        assert lhs < rhs
+        got = hardy_check(CubicSpline(knots, vals))
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 4 * np.finfo(float).eps * abs(r)
 
 
 class TestResolventBound:
