@@ -30,8 +30,7 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
 # the longest Newton step: pi, the asymptotic spacing of the pairs in
 # Im lambda. Near alpha = 1, F is almost flat, and an uncapped first step
-# from the asymptotic seed reached |2 lambda| ~ 1e5, beyond the series'
-# term budget.
+# reached |2 lambda| ~ 1e5, beyond the series' term budget.
 _NEWTON_MAX_STEP = math.pi
 _RESIDUAL_TOL = 1e-9
 # Newton's absolute bound on F's error moves the root by at most
@@ -43,14 +42,14 @@ _NEWTON_RES_ERR = 1e-2
 # disc of this radius around it: half the pairs' asymptotic spacing. From
 # a value the grid does not resolve it wandered for all _NEWTON_MAX_ITER
 # iterations (10-25 ms). Within ~1e-12 of an integer at kmax 20 some
-# seeds lie 1.4-3.3 from their pair, which the asymptotic seeds or the
-# covering count then find
+# seeds lie 1.4-3.3 from their pair, which Newton from the gap seeds
+# (_gap_round) then finds, held to the same disc
 _COLLOCATION_SEED_RADIUS = 0.5 * math.pi
 _BOUNDARY_TOL = 1e-9
-# count_zeros' perturbed retries after a zero on the boundary, and
-# _recover_missed's rounds of subdivision
+# count_zeros' perturbed retries after a zero on the boundary
 _BOUNDARY_RETRIES = 5
-_RECOVER_ROUNDS = 3
+# _recover_missed's rounds of _gap_round
+_GAP_ROUNDS = 3
 _DEDUP_TOL = 1e-8
 # below this many new points per call, kummer_m one by one is faster than
 # kummer_m_array, whose lockstep series has a fixed cost per term block
@@ -123,9 +122,9 @@ class Eigenvalue:
     index: int
     branch: str  # "real" | "upper" | "lower"
     residual: float
-    # "laguerre" | "collocation" | "asymptotic" | "scan", the last for a
-    # pair that _recover_missed found by subdividing its covering rectangle
-    seed_source: str = "scan"
+    # "laguerre" | "collocation" | "gap", the last for a pair that
+    # _recover_missed found from its neighbours (_gap_round)
+    seed_source: str
 
 
 @dataclass(frozen=True)
@@ -143,25 +142,12 @@ class Rect:
                 complex(self.re_max, self.im_max),
                 complex(self.re_min, self.im_max))
 
-    def contains(self, z, margin=0.0):
-        return (self.re_min - margin <= z.real <= self.re_max + margin
-                and self.im_min - margin <= z.imag <= self.im_max + margin)
+    def contains(self, z):
+        return (self.re_min <= z.real <= self.re_max
+                and self.im_min <= z.imag <= self.im_max)
 
     def diag(self):
         return math.hypot(self.re_max - self.re_min, self.im_max - self.im_min)
-
-    def center(self):
-        return complex(0.5 * (self.re_min + self.re_max),
-                       0.5 * (self.im_min + self.im_max))
-
-    def bisect(self):
-        if self.re_max - self.re_min >= self.im_max - self.im_min:
-            mid = 0.5 * (self.re_min + self.re_max)
-            return (Rect(self.re_min, mid, self.im_min, self.im_max),
-                    Rect(mid, self.re_max, self.im_min, self.im_max))
-        mid = 0.5 * (self.im_min + self.im_max)
-        return (Rect(self.re_min, self.re_max, self.im_min, mid),
-                Rect(self.re_min, self.re_max, mid, self.im_max))
 
 
 def char_fn(problem, lam):
@@ -322,8 +308,9 @@ def count_zeros(problem, rect):
 
 
 def asymptotic_eigenvalue(problem, k, branch):
-    """Large-k seed for the k-th conjugate-pair eigenvalue (non-integer
-    alpha), with the principal logarithm branch throughout."""
+    """Large-k estimate of the k-th conjugate-pair eigenvalue (non-integer
+    alpha), with the principal logarithm branch throughout; it only sizes
+    find_eigenvalues' search_radius (spectrum --radius)."""
     a = problem.alpha
     if integer_n(a) is not None:
         raise ValueError("asymptotic seeds undefined at integer alpha "
@@ -533,55 +520,73 @@ def _audit(problem, eigenvalues):
             raise AuditError(rect, counted, inside)
 
 
-def _locate_in_rect(problem, rect, known, counted, depth=0):
-    """Zeros in rect not present in `known`, by bisection + Newton; counted
-    is count_zeros(problem, rect)."""
-    k_in = sum(1 for z in known if rect.contains(z, margin=1e-9))
-    if counted <= k_in:
-        return []
-    if (counted == k_in + 1 and rect.diag() < 0.2) or depth > 26:
-        lam, res = _newton(problem, rect.center())
-        return [(lam, res)]
-    out = []
-    for half in rect.bisect():
-        out.extend(_locate_in_rect(problem, half, known,
-                                   count_zeros(problem, half), depth + 1))
-    return out
-
-
-def _absorb(kept, lam, res, src):
-    """Add zero lam, reflected into the upper half plane, to kept (tuples
-    (lam, res, src) in ascending Im) unless it converged onto the real
-    axis or is already there."""
+def _add_pair(problem, kept, seed, src):
+    """Newton from seed, given up once it leaves the disc of radius
+    _COLLOCATION_SEED_RADIUS around the seed, as from a value the grid
+    does not resolve. Its root, reflected into the upper half plane, joins
+    kept (tuples (lam, res, src) in ascending Im) unless it lies on the
+    real axis or in kept already; whether it joined."""
+    try:
+        lam, res = _newton(problem, seed, radius=_COLLOCATION_SEED_RADIUS)
+    except (NewtonError, ConvergenceError):
+        return False
     if lam.imag < 0:
         lam = lam.conjugate()
-    if lam.imag > _DEDUP_TOL and not any(
+    if lam.imag <= _DEDUP_TOL or any(
             abs(lam - o[0]) < _DEDUP_TOL * (1 + abs(lam)) for o in kept):
-        kept.append((lam, res, src))
-        kept.sort(key=lambda t: t[0].imag)
+        return False
+    kept.append((lam, res, src))
+    kept.sort(key=lambda t: t[0].imag)
+    return True
+
+
+def _gap_round(problem, kept, n_pairs):
+    """Newton from the gap seeds of kept: in each Im gap between
+    neighbouring pairs, round(gap / s) - 1 evenly spaced points, s the
+    median Im spacing; one point s below the first pair if it lies above
+    1.5 s; and, while pairs are missing, one point past the top pair by the
+    last gap's complex increment (pi i with one pair): a purely imaginary
+    step left the seed's disc, 1.75 from pair 3 at alpha = 12.25. Whether
+    kept grew."""
+    n_kept = len(kept)
+    lams = [t[0] for t in kept]
+    steps = [b - a for a, b in zip(lams, lams[1:])]
+    s = float(np.median([d.imag for d in steps])) if steps else math.pi
+    seeds = [a + d * (j / m) for a, d in zip(lams, steps)
+             for m in [round(d.imag / s)] for j in range(1, m)]
+    if lams[0].imag > 1.5 * s:
+        seeds.append(lams[0] - s * 1j)
+    for seed in seeds:
+        _add_pair(problem, kept, seed, "gap")
+    while len(kept) < n_pairs:
+        top = kept[-1][0]
+        if not _add_pair(problem, kept,
+                         top + (top - kept[-2:][0][0] or math.pi * 1j), "gap"):
+            break
+    return len(kept) > n_kept
 
 
 def _recover_missed(problem, kept, n_pairs):
     """Covering-rectangle audit of the upper half plane up to the highest
-    pair of interest; missed zeros are located by subdivision and added,
-    in up to _RECOVER_ROUNDS rounds."""
-    for _ in range(_RECOVER_ROUNDS):
+    pair of interest. While it counts more zeros than kept holds, or kept
+    is short of n_pairs, up to _GAP_ROUNDS rounds of _gap_round run; after
+    one that adds nothing, a count above kept raises AuditError."""
+    for rnd in range(_GAP_ROUNDS + 1):
         top_idx = min(n_pairs, len(kept)) - 1
         im_top = kept[top_idx][0].imag + 0.5 * math.pi
         delta = min(0.45 * kept[0][0].imag, 0.45)
         re_min = min(t[0].real for t in kept) - 6.0
         rect = Rect(re_min, -1e-3, delta, im_top)
         counted = count_zeros(problem, rect)
-        inside = [t for t in kept if rect.contains(t[0])]
-        if counted == len(inside):
+        inside = sum(1 for t in kept if rect.contains(t[0]))
+        if counted < inside:
+            raise AuditError(rect, counted, inside)
+        if counted == inside and len(kept) >= n_pairs:
             return
-        if counted < len(inside):
-            raise AuditError(rect, counted, len(inside))
-        new = _locate_in_rect(problem, rect, [t[0] for t in kept], counted)
-        if not new:
-            raise AuditError(rect, counted, len(inside))
-        for lam, res in new:
-            _absorb(kept, lam, res, "scan")
+        if rnd == _GAP_ROUNDS or not _gap_round(problem, kept, n_pairs):
+            if counted > inside:
+                raise AuditError(rect, counted, inside)
+            return
 
 
 def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
@@ -593,9 +598,9 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
     For non-integer alpha, Newton runs from the collocation's real values
     nearest 0 (_real_roots) and from its first n_pairs + 2 values in the
     upper half plane, each given up once it leaves the disc of radius
-    _COLLOCATION_SEED_RADIUS around its seed; the asymptotic seeds run
-    only while pairs are still missing, and _recover_missed's covering
-    count finds any pair that both missed."""
+    _COLLOCATION_SEED_RADIUS around its seed. Next to an integer some of
+    those values miss their pairs: _recover_missed's covering count finds
+    that, and Newton from the found pairs' gap seeds finds the rest."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     evs = []
@@ -610,7 +615,7 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
 
     n_pairs = k_max
     if search_radius is not None:
-        # extend until the asymptotic seeds leave the disc
+        # extend until the asymptotic eigenvalues leave the disc
         while (abs(asymptotic_eigenvalue(problem, n_pairs + 1, "upper"))
                <= search_radius):
             n_pairs += 1
@@ -623,25 +628,7 @@ def find_eigenvalues(problem, k_max, search_radius=None, audit=True):
     kept = []  # (lam, res, src), upper half plane, ascending Im
     # two seeds to spare, for values that Newton takes elsewhere
     for seed in upper[:n_pairs + 2]:
-        try:
-            lam, res = _newton(problem, seed,
-                               radius=_COLLOCATION_SEED_RADIUS)
-        except (NewtonError, ConvergenceError):
-            # a value the grid does not resolve leads Newton away
-            continue
-        _absorb(kept, lam, res, "collocation")
-
-    # asymptotic seeds may collide on the same zero for small k; keep going
-    # until the requested number of distinct pairs is in hand
-    k = 0
-    while len(kept) < n_pairs and k < n_pairs + 10:
-        k += 1
-        seed = asymptotic_eigenvalue(problem, k, "upper")
-        try:
-            lam, res = _newton(problem, seed)
-        except NewtonError:
-            continue
-        _absorb(kept, lam, res, "asymptotic")
+        _add_pair(problem, kept, seed, "collocation")
 
     if kept:
         _recover_missed(problem, kept, n_pairs)

@@ -672,10 +672,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("alpha, found", [("3.9999999999", 19),
                                               ("4.0000000001", 19)])
-    def test_short_spectrum_is_computation_error(self, capsys, alpha, found):
-        # next to alpha = 4 at kmax 20 the collocation and asymptotic seeds
-        # and the recovery find only some of the pairs: an error, not a
-        # short list
+    def test_short_spectrum_is_computation_error(self, capsys, monkeypatch,
+                                                 alpha, found):
+        # Newton fails from every seed that reaches a pair above Im 65.2,
+        # between pair 19 (Im 62.8 and 64.4 at these alpha) and pair 20
+        # (66.0 and 67.6): a spectrum short of the pairs asked for is an
+        # error, not a short list
+        newton = spectrum._newton
+
+        def failing(problem, seed, **kwargs):
+            lam, res = newton(problem, seed, **kwargs)
+            if abs(lam.imag) > 65.2:
+                raise spectrum.NewtonError(seed)
+            return lam, res
+
+        monkeypatch.setattr(spectrum, "_newton", failing)
         code, out, err = run_cli(capsys, "spectrum", "--alpha", alpha,
                                  "--kmax", "20")
         assert code == 1

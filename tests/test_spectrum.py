@@ -120,9 +120,9 @@ class TestFindEigenvalues:
 
 
     def test_short_spectrum_raises(self, monkeypatch):
-        # Newton fails from every asymptotic seed above pair 1, and the
-        # covering rectangle reaches only to pair 1: one pair of three is
-        # an error, not a shorter list
+        # Newton fails from every seed above pair 1, the gap seed past it
+        # too, and the covering rectangle reaches only to pair 1: one pair
+        # of three is an error, not a shorter list
         newton = spectrum._newton
 
         def failing(problem, seed, **kwargs):
@@ -381,8 +381,8 @@ class TestCharValues:
         for name in ("kummer_m", "kummer_m_array"):
             monkeypatch.setattr(spectrum, name,
                                 raising(getattr(spectrum, name)))
-        evs = [Eigenvalue(-1.0 + 0.5j, 1, "upper", 0.0),
-               Eigenvalue(far, 2, "upper", 0.0)]
+        evs = [Eigenvalue(-1.0 + 0.5j, 1, "upper", 0.0, "collocation"),
+               Eigenvalue(far, 2, "upper", 0.0, "collocation")]
         with pytest.raises(spectrum.AuditError):
             spectrum._audit(p, evs)
         with pytest.raises(ConvergenceError):
@@ -679,15 +679,16 @@ class TestNewtonGrades:
 
 class TestFallbackSeeds:
     """Within about 1e-12 of an integer at kmax 20 some collocation seeds
-    miss their pairs, which then come from the asymptotic seeds and from
-    the covering count's subdivision (_locate_in_rect)."""
+    miss their pairs, which then come from the gap seeds of the pairs
+    found (_gap_round): at 4 + 1e-13 the collocation gives 9 of the 20."""
 
-    @pytest.mark.parametrize("alpha", [3 + 1e-13, 3 - 1e-12])
+    @pytest.mark.parametrize("alpha", [3 + 1e-13, 3 - 1e-12,
+                                       4 + 1e-13, 4 - 1e-13])
     def test_pairs_from_every_source(self, alpha):
         evs = find_eigenvalues(SpectralProblem(alpha), 20)
         upper = [ev for ev in evs if ev.branch == "upper"]
         assert len(upper) == 20
-        assert {"asymptotic", "scan"} <= {ev.seed_source for ev in upper}
+        assert {ev.seed_source for ev in upper} == {"collocation", "gap"}
         for ev in upper:
             root = _mp_root(alpha, ev.value)
             assert abs(ev.value - root) <= EIG_RTOL * abs(root), (ev, root)
@@ -922,8 +923,10 @@ class TestEigenfunction:
         p = SpectralProblem(2.5)
         tol = spectrum._RESIDUAL_TOL
         with pytest.raises(spectrum.SpectrumError, match="residual"):
-            eigenfunction(p, Eigenvalue(-1.0 + 0j, 1, "real", 2 * tol))
-        assert eigenfunction(p, Eigenvalue(-1.0 + 0j, 1, "real", tol))(0.5)
+            eigenfunction(p, Eigenvalue(-1.0 + 0j, 1, "real", 2 * tol,
+                                        "collocation"))
+        assert eigenfunction(p, Eigenvalue(-1.0 + 0j, 1, "real", tol,
+                                           "collocation"))(0.5)
 
 
 class TestSpectralAbscissa:
