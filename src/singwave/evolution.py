@@ -41,14 +41,10 @@ arithmetic itself at a few hundred nodes.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-# leggauss; imported with this module so that no command's first
-# quadrature pays for it
-import numpy.polynomial.legendre
 
 from .data import _union, combine, mode_data
 from .lapack import flapack
@@ -57,6 +53,17 @@ from .spectrum import standing_mode
 _ENERGY_INCREASE_TOL = 1e-10
 _GRAM_COND_MAX = 1e12
 _PANELS = 64  # uniform panels of the composite Gauss-Legendre rule
+# its 16-point rule on [-1, 1], exact for degree <= 31, by its positive
+# nodes ascending and their weights: numpy's leggauss(16) to the bit,
+# written out since importing numpy.polynomial costs more than a projection
+_GL_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+             0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+             0.9445750230732326, 0.9894009349916499)
+_GL_WEIGHTS = (0.18945061045506864, 0.18260341504492364,
+               0.16915651939500265, 0.1495959888165767, 0.12462897125553407,
+               0.0951585116824926, 0.062253523938647456, 0.027152459411754176)
+_LEGENDRE_RULE = (np.array([-x for x in _GL_NODES[::-1]] + list(_GL_NODES)),
+                  np.array(_GL_WEIGHTS[::-1] + _GL_WEIGHTS))
 
 
 class EvolutionError(Exception):
@@ -72,16 +79,14 @@ class EnergyIncreaseError(EvolutionError):
         self.ratio = ratio
 
 
-@dataclass(frozen=True)
 class Grid:
     """N interior nodes x_i = i*h, h = 1/(N+1); Dirichlet values at 0 and 1
     are implicit in all stencils."""
 
-    N: int
-
-    def __post_init__(self):
-        if self.N < 2:
+    def __init__(self, N):
+        if N < 2:
             raise ValueError("need at least 2 interior points")
+        self.N = N
 
     @property
     def h(self):
@@ -92,27 +97,26 @@ class Grid:
         return self.h * np.arange(1, self.N + 1)
 
 
-@dataclass
-class State:
+class State(NamedTuple):
     u: np.ndarray
     v: np.ndarray
 
 
-@dataclass
-class EnergyTrace:
+class EnergyTrace(NamedTuple):
     times: np.ndarray
     energies: np.ndarray
 
 
-@dataclass
 class SimulationRun:
-    alpha: float
-    grid: Grid
-    dt: float
-    snapshot_times: list
-    snapshots: list  # of State
-    trace: EnergyTrace
-    max_energy_increase_ratio: float = 0.0
+    """A simulation's grid, snapshots (States at snapshot_times) and
+    EnergyTrace."""
+
+    def __init__(self, alpha, grid, dt, snapshot_times, snapshots, trace,
+                 max_energy_increase_ratio):
+        self.alpha, self.grid, self.dt = alpha, grid, dt
+        self.snapshot_times, self.snapshots = snapshot_times, snapshots
+        self.trace = trace
+        self.max_energy_increase_ratio = max_energy_increase_ratio
 
 
 def energy(grid, state):
@@ -218,13 +222,6 @@ def simulate(alpha, initial, T, dt, N=2000, snapshot_times=None,
                          EnergyTrace(times, energies), max(max_inc, 0.0))
 
 
-@functools.cache
-def _legendre_rule():
-    # 16-point Gauss-Legendre rule on [-1, 1], exact for degree <= 31;
-    # computed on first use because leggauss initialises LAPACK (~0.8 MB)
-    return np.polynomial.legendre.leggauss(16)
-
-
 def _gauss_legendre(*fns):
     """Nodes and weights of the composite 16-point Gauss-Legendre rule on
     [0, 1]: _PANELS uniform panels, split at the breakpoints .x of every
@@ -234,7 +231,7 @@ def _gauss_legendre(*fns):
     for f in fns:
         if hasattr(f, "x"):
             breaks = _union(breaks, np.clip(f.x, 0.0, 1.0))
-    nodes, weights = _legendre_rule()
+    nodes, weights = _LEGENDRE_RULE
     half = 0.5 * np.diff(breaks)[:, None]
     mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]
     return (mid + half * nodes).ravel(), (half * weights).ravel()

@@ -11,13 +11,15 @@ t > 2.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Spline
-from .specfun import exp_integral_e1_array, laguerre, p_poly, p_poly_exact
+from .specfun import exp_integral_e1_array, laguerre
 from .spectrum import laguerre_poles, standing_mode
 
 _POLE_TOL = 1e-8
@@ -38,8 +40,60 @@ class PoleProximityError(LaplaceError):
         self.mu = mu
 
 
-@dataclass(frozen=True)
-class PartialFractions:
+class PolynomialCoeffs:
+    """Real polynomial stored by ascending-degree coefficients."""
+
+    def __init__(self, coeffs):
+        if len(coeffs) == 0:
+            raise ValueError("empty coefficient list")
+        if len(coeffs) > 1 and coeffs[-1] == 0.0:
+            raise ValueError("leading coefficient must be nonzero")
+        self.coeffs = coeffs
+
+    def __call__(self, x):
+        # Horner, works for real or complex x
+        acc = 0.0 * x + 0.0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _p_poly_fractions(n):
+    """p_poly(n)'s coefficients as exact fractions, ascending degree: the
+    direct double sum."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        binom = (-1) ** k * math.comb(n + 1, k + 1)
+        for m in range(k + 1):
+            coeffs[m] += Fraction(binom * math.factorial(k - m),
+                                  math.factorial(k))
+    return tuple(coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def p_poly(n):
+    """The auxiliary polynomial family of degree n from the Green's-function
+    construction: constant term 1, leading coefficient equal to that of
+    L_n^(1). Coefficients by the direct double sum, computed exactly."""
+    return PolynomialCoeffs(tuple(float(c) for c in _p_poly_fractions(n)))
+
+
+def p_poly_exact(n, x):
+    """P_n(x) at a float x in exact rational arithmetic, rounded once.
+
+    Near a zero of L_n^(1) the float Horner of p_poly cancels: at n = 10
+    the smallest value is about 1e-12 of the terms' size."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(_p_poly_fractions(n)):
+        acc = acc * x + c
+    return float(acc)
+
+
+class PartialFractions(NamedTuple):
     """Residue data of P_n(-2 tau)/L_n^(1)(-2 tau) = 1 + sum a_k/(tau - mu_k)."""
 
     n: int
@@ -53,8 +107,7 @@ class PartialFractions:
         return acc
 
 
-@dataclass(frozen=True)
-class LaplaceRHS:
+class LaplaceRHS(NamedTuple):
     """r(x, tau) = tau u0 + u1 + 2(n+1) u0/x for data in the energy space."""
 
     data: object

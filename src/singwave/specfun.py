@@ -1,9 +1,8 @@
 """Complex special functions used throughout the package.
 
 Provides the regular confluent hypergeometric function M(a, b, z), associated
-Laguerre polynomials, the auxiliary polynomial family entering the Green's
-function of the singular Sturm-Liouville problem and the exponential
-integral E1 on the whole cut plane.
+Laguerre polynomials and the exponential integral E1 on the whole cut
+plane.
 
 All functions are pure and reentrant.
 """
@@ -11,10 +10,7 @@ All functions are pure and reentrant.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,26 +86,6 @@ class ConvergenceError(Exception):
         super().__init__(f"{message} ({detail})")
         self.z = z
         self.terms = terms
-
-
-@dataclass(frozen=True)
-class PolynomialCoeffs:
-    """Real polynomial stored by ascending-degree coefficients."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise ValueError("empty coefficient list")
-        if len(self.coeffs) > 1 and self.coeffs[-1] == 0.0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    def __call__(self, x):
-        # Horner, works for real or complex x
-        acc = 0.0 * x + 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def _recip_gamma(x):
@@ -603,55 +579,6 @@ def laguerre(n, beta, x):
     for k in range(1, n):
         p, p_prev = ((2 * k + beta + 1 - x) * p - (k + beta) * p_prev) / (k + 1), p
     return p
-
-
-def laguerre_coeffs(n, beta):
-    """Coefficients of L_n^(beta), ascending degree (exact, then floats).
-
-    The explicit-coefficient oracle of the tests; the package evaluates
-    L_n^(beta) by the recurrence in laguerre()."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    coeffs = []
-    for m in range(n + 1):
-        c = Fraction((-1) ** m * math.comb(n + beta, n - m), math.factorial(m))
-        coeffs.append(float(c))
-    return PolynomialCoeffs(tuple(coeffs))
-
-
-@functools.lru_cache(maxsize=None)
-def _p_poly_fractions(n):
-    """p_poly(n)'s coefficients as exact fractions, ascending degree: the
-    direct double sum."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        binom = (-1) ** k * math.comb(n + 1, k + 1)
-        for m in range(k + 1):
-            coeffs[m] += Fraction(binom * math.factorial(k - m),
-                                  math.factorial(k))
-    return tuple(coeffs)
-
-
-@functools.lru_cache(maxsize=None)
-def p_poly(n):
-    """The auxiliary polynomial family of degree n from the Green's-function
-    construction: constant term 1, leading coefficient equal to that of
-    L_n^(1). Coefficients by the direct double sum, computed exactly."""
-    return PolynomialCoeffs(tuple(float(c) for c in _p_poly_fractions(n)))
-
-
-def p_poly_exact(n, x):
-    """P_n(x) at a float x in exact rational arithmetic, rounded once.
-
-    Near a zero of L_n^(1) the float Horner of p_poly cancels: at n = 10
-    the smallest value is about 1e-12 of the terms' size."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(_p_poly_fractions(n)):
-        acc = acc * x + c
-    return float(acc)
 
 
 def exp_integral_e1_array(z):

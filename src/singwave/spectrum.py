@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -91,10 +90,9 @@ def integer_n(alpha):
     return None
 
 
-@dataclass(frozen=True)
 class SpectralProblem:
     """Damping strength alpha plus the integer-case flag integer_n, which
-    is integer_n(alpha).
+    is integer_n(alpha). Problems are equal when their alphas are.
 
     Two caches hold F(lambda) by the exact lambda for this problem alone:
     phase_values the winding walk's samples, taken at the phase grade
@@ -103,21 +101,28 @@ class SpectralProblem:
     each evaluates a lambda once.
     """
 
-    alpha: float
-    integer_n: int | None = field(init=False, default=None)
-    phase_values: dict = field(init=False, default_factory=dict,
-                               compare=False, repr=False)
-    newton_values: dict = field(init=False, default_factory=dict,
-                                compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.alpha <= 0:
+    def __init__(self, alpha):
+        if alpha <= 0:
             raise ValueError("alpha must be positive")
-        object.__setattr__(self, "integer_n", integer_n(self.alpha))
+        self.alpha = alpha
+        self.integer_n = integer_n(alpha)
+        self.phase_values = {}
+        self.newton_values = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectralProblem):
+            return NotImplemented
+        return self.alpha == other.alpha
+
+    def __hash__(self):
+        return hash(self.alpha)
+
+    def __repr__(self):
+        return (f"SpectralProblem(alpha={self.alpha!r}, "
+                f"integer_n={self.integer_n!r})")
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
+class Eigenvalue(NamedTuple):
     value: complex
     index: int
     branch: str  # "real" | "upper" | "lower"
@@ -127,8 +132,7 @@ class Eigenvalue:
     seed_source: str
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     """Axis-aligned rectangle in the complex plane."""
 
     re_min: float
@@ -677,8 +681,7 @@ def spectral_abscissa(evs):
     return max(ev.value.real for ev in evs)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     alpha: float
     trajectory_id: str
     value: complex

@@ -10,14 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from polynomial_oracle import laguerre_coeffs
 from singwave.data import bump_data, mode_data, sine_data
 from singwave.evolution import (decay_rate, project_out, simulate)
-from singwave.laplace import LaplaceRHS, partial_fractions, solve_laplace_U, \
-    tail_u2
+from singwave.laplace import LaplaceRHS, p_poly, partial_fractions, \
+    solve_laplace_U, tail_u2
 from singwave.spectrum import (Rect, SpectralProblem, alpha_sweep,
                                asymptotic_eigenvalue, char_fn, count_zeros,
                                find_eigenvalues, _newton)
-from singwave.specfun import laguerre_coeffs, p_poly
 from singwave.verify import (gupta_bound_check, hardy_check,
                              lemma_condition_identity, random_witness,
                              resolvent_bound_check)

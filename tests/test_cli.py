@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from singwave import cli, specfun, spectrum
+from singwave import cli, evolution, specfun, spectrum, verify
 from singwave.cli import main
 from singwave.data import bump_data
 from singwave.evolution import project_out, simulate
@@ -468,7 +468,7 @@ class TestExtinction:
         # the coarsest level (dt x 4 = 10) has one sample, none at t = 2.2;
         # refused before any level runs
         calls = []
-        monkeypatch.setattr(cli, "simulate",
+        monkeypatch.setattr(evolution, "simulate",
                             lambda *a, **kw: calls.append(a))
         code, _, err = run_cli(capsys, "extinction", "--alpha", "2",
                                "--N", "40", "--dt", "2.5")
@@ -490,7 +490,7 @@ class TestExtinction:
             steps.append(len(run.trace.times) - 1)
             return run
 
-        monkeypatch.setattr(cli, "simulate", spy)
+        monkeypatch.setattr(evolution, "simulate", spy)
         argv = ["extinction", "--alpha", alpha, "--preset", preset,
                 "--N", "40", "--dt", "0.01"]
         code, out, err = run_cli(capsys, *argv,
@@ -597,6 +597,13 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--check", "bogus"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --check: invalid choice: 'bogus'" in err
+        assert all(name in err for name in verify.CHECKS)
+
+    def test_check_names_are_verify_checks(self):
+        # the parser lists them without importing verify
+        assert cli._CHECKS == ["all", *verify.CHECKS]
 
 
 # inputs outside their domain, bad presets and data files, and paths that
@@ -715,11 +722,10 @@ _COMPUTE = {
     "sweep": (["--alpha-min", "1.3", "--alpha-max", "1.4", "--step", "0.1",
                "--kmax", "1"], cli, "alpha_sweep"),
     "simulate": (["--alpha", "2", "--T", "0.02", "--dt", "0.01", "--N",
-                  "20"], cli, "simulate"),
-    "extinction": (["--alpha", "2", "--N", "40", "--dt", "0.02"], cli,
+                  "20"], evolution, "simulate"),
+    "extinction": (["--alpha", "2", "--N", "40", "--dt", "0.02"], evolution,
                    "simulate"),
-    "verify": (["--check", "gupta", "--nmax", "3"], cli.verify_mod,
-               "run_all"),
+    "verify": (["--check", "gupta", "--nmax", "3"], verify, "run_all"),
 }
 
 
@@ -753,7 +759,7 @@ class TestOutputPaths:
         def failing(*args, **kwargs):
             raise RuntimeError("failed")
 
-        monkeypatch.setattr(cli, "simulate", failing)
+        monkeypatch.setattr(evolution, "simulate", failing)
         argv = _COMPUTE["simulate"][0]
         code, _, err = run_cli(capsys, "simulate", *argv, "--out", str(old),
                                "--energy-out", str(new))
@@ -940,6 +946,81 @@ def _run_python(code, timeout=None):
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+# what the spectral commands leave out: the time-domain, Laplace and
+# verification layers with the modules they import (the first six), and
+# modules that no command imports
+_NOT_SPECTRAL = ("singwave.data", "singwave.evolution", "singwave.laplace",
+                 "singwave.verify", "numpy.random", "fractions",
+                 "numpy.polynomial", "dataclasses")
+
+
+def test_spectral_commands_load_only_the_spectral_layer(tmp_path):
+    out = str(tmp_path / "out")
+    spectral = [["spectrum", "--alpha", "2"],
+                ["spectrum", "--alpha", "2.5", "--kmax", "1"],
+                ["sweep", "--alpha-min", "1.3", "--alpha-max", "1.35",
+                 "--step", "0.05", "--kmax", "1"]]
+    others = [["simulate", "--alpha", "2", "--T", "0.02", "--dt", "0.01",
+               "--N", "20"],
+              ["extinction", "--alpha", "2", "--N", "40", "--dt", "0.02"],
+              ["verify", "--check", "all", "--trials", "2", "--nmax", "3"]]
+    code = f"""
+import sys
+import singwave.cli
+for argv in {spectral!r}:
+    assert singwave.cli.main(argv + ["--out", {out!r}]) == 0, argv
+print([m for m in {_NOT_SPECTRAL!r} if m in sys.modules])
+for argv in {others!r}:
+    assert singwave.cli.main(argv + ["--out", {out!r}]) == 0, argv
+print([m for m in {_NOT_SPECTRAL!r} if m in sys.modules])
+"""
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", repr(list(_NOT_SPECTRAL[:6]))]
+
+
+def test_parser_reuse_matches_fresh_processes():
+    # main() builds its parser once per process: successive commands in
+    # one interpreter, a rejected argv among them, exit and print as each
+    # does alone
+    runs = [["spectrum", "--alpha", "2.5", "--kmax", "1"],
+            ["verify", "--check", "bogus"],
+            ["sweep", "--alpha-min", "1.3", "--alpha-max", "1.35", "--step",
+             "0.05", "--kmax", "1", "--format", "json"],
+            ["spectrum", "--alpha", "2", "--kmax", "0"],
+            ["verify", "--check", "gupta", "--nmax", "3"],
+            ["simulate", "--alpha", "2", "--T", "0.02", "--dt", "0.01",
+             "--N", "8", "--snapshots", "2"],
+            ["--version"]]
+    code = f"""
+import contextlib, io, json
+from singwave import cli
+results = []
+for argv in {runs!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    together = json.loads(proc.stdout)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        cli.__file__)))
+    for argv, got in zip(runs, together):
+        alone = subprocess.run(
+            [sys.executable, "-c", "import sys; from singwave.cli import "
+             "main; sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True)
+        assert got == [alone.returncode, alone.stdout.decode(),
+                       alone.stderr.decode()], argv
+    assert [code for code, _, _ in together] == [0, 2, 0, 2, 0, 0, 0]
 
 
 def test_import_leaves_out_scipy():

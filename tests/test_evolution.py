@@ -371,6 +371,17 @@ class TestProjection:
                 assert np.max(np.abs(rest.u0(x))) < 1e-13, (n, data)
                 assert np.max(np.abs(rest.u1(x))) < 1e-13, (n, data)
 
+    def test_legendre_rule_is_leggauss(self):
+        # the written-out 16-point rule: numpy's, and exact for degree 31
+        nodes, weights = evolution._LEGENDRE_RULE
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 2.3e-16
+        assert np.max(np.abs(weights - ref_weights)) <= 5.6e-17
+        for degree in (0, 1, 30, 31):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert weights @ nodes ** degree == pytest.approx(exact,
+                                                              abs=1e-15)
+
     def test_spline_data_matches_fine_rule(self):
         # 50-knot from_grid data, as the file: preset reads them. The
         # rule's panels split at the knots; the reference is a 10-point

@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from polynomial_oracle import laguerre_coeffs
 from singwave.data import bump_data, mode_data, sine_data, zero_data
 from singwave.evolution import project_out
 from singwave.laplace import (LaplaceRHS, PoleProximityError, _bracket_factor,
-                              green_g1, green_g2, laplace_U_alpha1,
-                              partial_fractions, solve_laplace_U, tail_u2)
-from singwave.specfun import laguerre, laguerre_coeffs, p_poly
+                              _p_poly_fractions, green_g1, green_g2,
+                              laplace_U_alpha1, p_poly, partial_fractions,
+                              solve_laplace_U, tail_u2)
+from singwave.specfun import laguerre
 
 
 class TestPartialFractions:
@@ -47,8 +49,6 @@ class TestPartialFractions:
         # P_n, so a float Horner loses 4e-5 and 7e-2 of them (measured
         # 3.5e-7 and 2.0e-4 with P_n exact at the double poles)
         import mpmath
-
-        from singwave.specfun import _p_poly_fractions
 
         def lag(m, beta, x):
             p0, p1 = mpmath.mpf(1), 1 + beta - x

@@ -12,11 +12,12 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polynomial_oracle import laguerre_coeffs
 from singwave import specfun
+from singwave.laplace import PolynomialCoeffs, p_poly
 from singwave.specfun import (_CANCEL_RTOL, _PHASE_RTOL, ConvergenceError,
-                              PolynomialCoeffs, exp_integral_e1_array,
-                              kummer_m, kummer_m_array,
-                              kummer_m_dz, laguerre, laguerre_coeffs, p_poly)
+                              exp_integral_e1_array, kummer_m,
+                              kummer_m_array, kummer_m_dz, laguerre)
 
 
 def mp_kummer(a, b, z):
