@@ -107,6 +107,8 @@ _POSITIVE = _checked(float, lambda x: 0 < x < math.inf,
 # function's large-argument expansion
 _ALPHA = _checked(float, lambda x: 0 < x <= 170,
                   "positive and at most 170")
+# verify's largest n: the poles at alpha = n + 1, so the same reach
+_NMAX = _checked(int, lambda n: 1 <= n <= 169, "an integer from 1 to 169")
 # "all" and verify.CHECKS, which a test holds equal; written out here so
 # that the parser does not import verify
 _CHECKS = ["all", "hardy", "resolvent", "gupta", "pairing"]
@@ -137,7 +139,7 @@ _OPTIONS = {
                    "allow_noninteger": (bool, False)},
     "verify": {"check": (_CHECK, "all", {"choices": _CHECKS}),
                "trials": (_at_least(1), 200), "seed": (_at_least(0), 0),
-               "nmax": (_at_least(1), 20)},
+               "nmax": (_NMAX, 20)},
 }
 
 

@@ -11,9 +11,7 @@ t > 2.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +21,8 @@ from .specfun import exp_integral_e1_array, laguerre
 from .spectrum import laguerre_poles, standing_mode
 
 _POLE_TOL = 1e-8
-# bound on |sum a_k + 1/2| / sum |a_k|; measured at most 2.4e-14 for n <= 30
+# bound on |sum a_k + 1/2| / sum |a_k|; measured at most 1.7e-14 for n <= 30
+# and 3.6e-13 (n = 168) up to n = 169
 _RESIDUE_SUM_RTOL = 1e-12
 _QUAD_GRID = 4097  # nodes of the cumulative-integral spline
 
@@ -40,57 +39,12 @@ class PoleProximityError(LaplaceError):
         self.mu = mu
 
 
-class PolynomialCoeffs:
-    """Real polynomial stored by ascending-degree coefficients."""
-
-    def __init__(self, coeffs):
-        if len(coeffs) == 0:
-            raise ValueError("empty coefficient list")
-        if len(coeffs) > 1 and coeffs[-1] == 0.0:
-            raise ValueError("leading coefficient must be nonzero")
-        self.coeffs = coeffs
-
-    def __call__(self, x):
-        # Horner, works for real or complex x
-        acc = 0.0 * x + 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-@functools.lru_cache(maxsize=None)
-def _p_poly_fractions(n):
-    """p_poly(n)'s coefficients as exact fractions, ascending degree: the
-    direct double sum."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        binom = (-1) ** k * math.comb(n + 1, k + 1)
-        for m in range(k + 1):
-            coeffs[m] += Fraction(binom * math.factorial(k - m),
-                                  math.factorial(k))
-    return tuple(coeffs)
-
-
-@functools.lru_cache(maxsize=None)
-def p_poly(n):
-    """The auxiliary polynomial family of degree n from the Green's-function
-    construction: constant term 1, leading coefficient equal to that of
-    L_n^(1). Coefficients by the direct double sum, computed exactly."""
-    return PolynomialCoeffs(tuple(float(c) for c in _p_poly_fractions(n)))
-
-
-def p_poly_exact(n, x):
-    """P_n(x) at a float x in exact rational arithmetic, rounded once.
-
-    Near a zero of L_n^(1) the float Horner of p_poly cancels: at n = 10
-    the smallest value is about 1e-12 of the terms' size."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(_p_poly_fractions(n)):
-        acc = acc * x + c
-    return float(acc)
+def p_poly(n, x):
+    """P_n, the auxiliary polynomial of the Green's function, at real or
+    complex x (scalars or numpy arrays): L_n^(1)'s recurrence from P_0 = 1
+    and P_1 = 1 - x, its second solution (Gautschi, SIAM Rev. 9, 1967), so
+    constant term 1 and leading coefficient that of L_n^(1)."""
+    return laguerre(n, 1, x, start=1.0)
 
 
 class PartialFractions(NamedTuple):
@@ -129,23 +83,22 @@ class LaplaceRHS(NamedTuple):
 def partial_fractions(n):
     """Residues a_k = P_n(-2 mu_k) / (-2 (L_n^(1))'(-2 mu_k))
     = P_n(-2 mu_k) / (2 L_{n-1}^(2)(-2 mu_k)), by d/dx L_n^(1) = -L_{n-1}^(2);
-    the poles are simple because Laguerre roots are. P_n is evaluated at
-    the pole exactly (p_poly_exact): float Horner cancels there.
+    the poles are simple because Laguerre roots are. P_n comes from its
+    recurrence at the float pole: what limits a_k is the pole's rounding,
+    not how P_n is evaluated there.
 
-    What is left is the double pole's own rounding. From n = 12 some
-    |P_n(-2 mu_k)| are below the ulp of -2 mu_k times |P_n'| there, so no
-    test of one a_k can tell it from zero; for n <= 30 those a_k are at
-    most 3.4e-14 of the largest, and their tail terms are damped by
-    e^(mu_k (t - 2)) with mu_k < -18. The check is instead the
+    From n = 12 some |P_n(-2 mu_k)| are below the ulp of -2 mu_k times
+    |P_n'| there, so no test of one a_k can tell it from zero; for n <= 30
+    those a_k are at most 3.4e-14 of the largest, and their tail terms are
+    damped by e^(mu_k (t - 2)) with mu_k < -18. The check is instead the
     1/tau term of P_n/L_n^(1): P_n's two leading coefficients are those of
     L_n^(1) plus (0, l_n), so sum a_k = -1/2 for every n. A wrong pole or a
     wrong P_n breaks it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     poles = laguerre_poles(n)
-    coeffs = tuple(float(p_poly_exact(n, -2.0 * mu)
-                         / (2.0 * laguerre(n - 1, 2, -2.0 * mu)))
-                   for mu in poles)
+    x = -2.0 * np.array(poles)
+    coeffs = tuple(map(float, p_poly(n, x) / (2.0 * laguerre(n - 1, 2, x))))
     total = math.fsum(coeffs)
     if abs(total + 0.5) > _RESIDUE_SUM_RTOL * math.fsum(map(abs, coeffs)):
         raise LaplaceError(f"residues sum to {total}, not -1/2 "
@@ -166,7 +119,6 @@ def _bracket_factor(n, x, tau):
     from one exp_integral_e1_array call: both arguments lie on one ray from
     0, so on one side of E1's cut. The integral is zero from x = 1 on, and
     at tau = 0 its factor 2 tau is."""
-    pn = p_poly(n)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     log_int = np.zeros(x_arr.shape, dtype=complex)
     if tau != 0:
@@ -176,7 +128,7 @@ def _bracket_factor(n, x, tau):
         log_int[inside] = e1[:-1] - e1[-1]
     w = -2.0 * tau * x_arr
     inner = 2.0 * tau * log_int + cmath.exp(-2.0 * tau)
-    out = np.exp(-tau * x_arr) * pn(w) - x_arr * np.exp(tau * x_arr) \
+    out = np.exp(-tau * x_arr) * p_poly(n, w) - x_arr * np.exp(tau * x_arr) \
         * laguerre(n, 1, w) * inner
     return out if np.ndim(x) else out[0]
 

@@ -563,10 +563,11 @@ def kummer_m_dz(a, b, z, *, rtol=_CANCEL_RTOL):
     return (a / b) * kummer_m(a + 1.0, b + 1.0, z, rtol=rtol)
 
 
-def laguerre(n, beta, x):
+def laguerre(n, beta, x, start=None):
     """Associated Laguerre polynomial L_n^(beta)(x) by three-term recurrence.
 
-    Works for real or complex x (scalars or numpy arrays).
+    Works for real or complex x (scalars or numpy arrays). start in place
+    of 1 + beta in the degree-1 term gives another solution (laplace.p_poly).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -575,7 +576,7 @@ def laguerre(n, beta, x):
     p_prev = 1.0 + 0.0 * x
     if n == 0:
         return p_prev
-    p = 1.0 + beta - x
+    p = (1.0 + beta if start is None else start) - x
     for k in range(1, n):
         p, p_prev = ((2 * k + beta + 1 - x) * p - (k + beta) * p_prev) / (k + 1), p
     return p

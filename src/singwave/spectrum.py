@@ -367,9 +367,13 @@ def laguerre_poles(n):
                             f"(dsbevd info={info})")
     # d/dx L_n^(1)(x) = -L_{n-1}^(2)(x). At n = 1 dsbevd's quick return
     # reads band[0, 0] = 0, not the diagonal; L_1^(1) is linear, and the
-    # first step from 0 lands on its root
-    for _ in range(3):
-        x = x + laguerre(n, 1, x) / laguerre(n - 1, 2, x)
+    # first step from 0 lands on its root. From n = 363 the recurrence
+    # overflows at the largest node, and its pole comes out NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            x = x + laguerre(n, 1, x) / laguerre(n - 1, 2, x)
+    if not np.all(np.isfinite(x)):
+        raise SpectrumError(f"Laguerre pole polish overflowed at n={n}")
     return tuple(float(mu) for mu in np.sort(-x / 2.0))
 
 

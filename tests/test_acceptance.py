@@ -10,11 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from polynomial_oracle import laguerre_coeffs
+from polynomial_oracle import laguerre_coeffs, p_poly_coeffs
 from singwave.data import bump_data, mode_data, sine_data
 from singwave.evolution import (decay_rate, project_out, simulate)
-from singwave.laplace import LaplaceRHS, p_poly, partial_fractions, \
-    solve_laplace_U, tail_u2
+from singwave.laplace import LaplaceRHS, partial_fractions, solve_laplace_U, \
+    tail_u2
 from singwave.spectrum import (Rect, SpectralProblem, alpha_sweep,
                                asymptotic_eigenvalue, char_fn, count_zeros,
                                find_eigenvalues, _newton)
@@ -164,7 +164,7 @@ def test_criterion_06_partial_fractions():
     for n in range(1, 11):
         pf = partial_fractions(n)
         min_coeff = min(min_coeff, min(abs(a) for a in pf.coeffs))
-        pn, ln = p_poly(n), laguerre_coeffs(n, 1)
+        pn, ln = p_poly_coeffs(n), laguerre_coeffs(n, 1)
         done = 0
         while done < 100:
             tau = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,9 +13,10 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polynomial_oracle import laguerre_coeffs
+from polynomial_oracle import (PolynomialCoeffs, laguerre_coeffs,
+                               p_poly_coeffs, p_poly_fractions)
 from singwave import specfun
-from singwave.laplace import PolynomialCoeffs, p_poly
+from singwave.laplace import p_poly
 from singwave.specfun import (_CANCEL_RTOL, _PHASE_RTOL, ConvergenceError,
                               exp_integral_e1_array, kummer_m,
                               kummer_m_array, kummer_m_dz, laguerre)
@@ -512,16 +514,46 @@ class TestLaguerre:
 
 class TestPPoly:
     def test_n0(self):
-        assert p_poly(0).coeffs == (1.0,)
+        x = np.array([0.0, 2.5, -1.0 + 3.0j])
+        assert np.all(p_poly(0, x) == 1.0)
+        assert p_poly(0, x).shape == x.shape
 
     def test_constant_term_one(self):
         for n in range(8):
-            assert p_poly(n)(0.0) == pytest.approx(1.0, abs=1e-14)
+            assert p_poly(n, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_leading_matches_laguerre(self):
+        # P_n/L_n^(1) = 1 + 1/x + O(x^-2): equal leading coefficients, and
+        # next ones that differ by L_n^(1)'s leading one
+        x = 1e6
         for n in range(1, 8):
-            assert p_poly(n).coeffs[-1] == pytest.approx(
-                laguerre_coeffs(n, 1).coeffs[-1], rel=1e-14)
+            ratio = p_poly(n, x) / laguerre(n, 1, x)
+            assert (ratio - 1.0) * x == pytest.approx(1.0, rel=1e-4)
+
+    def test_recurrence_is_double_sum(self):
+        # (k+1) P_(k+1) = (2k+2-x) P_k - (k+1) P_(k-1) from P_0 = 1 and
+        # P_1 = 1 - x, on exact coefficients: L_n^(1)'s recurrence
+        prev, cur = [Fraction(1)], [Fraction(1), Fraction(-1)]
+        assert tuple(prev) == p_poly_fractions(0)
+        for k in range(1, 41):
+            assert tuple(cur) == p_poly_fractions(k), k
+            nxt = [Fraction(0)] * (k + 2)
+            for m, c in enumerate(cur):
+                nxt[m] += (2 * k + 2) * c
+                nxt[m + 1] -= c
+            for m, c in enumerate(prev):
+                nxt[m] -= (k + 1) * c
+            prev, cur = cur, [c / (k + 1) for c in nxt]
+
+    def test_matches_coefficient_oracle(self):
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 5, 9, 14):
+            poly = p_poly_coeffs(n)
+            x = rng.uniform(-20, 20, 30) + 1j * rng.uniform(-20, 20, 30)
+            got, want = p_poly(n, x), poly(x)
+            scale = sum(abs(c) * np.abs(x) ** m
+                        for m, c in enumerate(poly.coeffs))
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), n
 
 
 def _e1(z):
@@ -604,7 +636,7 @@ def _second_solution(n, xi):
     """v(xi) = P_n(xi) e^xi / xi + L_n^(1)(xi) E1(-xi) for Re(-xi) > 0:
     the second solution of the Laguerre equation of order n, which holds
     only with p_poly's polynomial."""
-    return (p_poly(n)(xi) * cmath.exp(xi) / xi
+    return (p_poly(n, xi) * cmath.exp(xi) / xi
             + laguerre(n, 1, xi) * _e1(-xi))
 
 
@@ -640,9 +672,3 @@ class TestPolynomialCoeffs:
     def test_horner_and_derivative(self):
         p = PolynomialCoeffs((1.0, -2.0, 3.0))
         assert p(2.0) == pytest.approx(1 - 4 + 12)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            PolynomialCoeffs(())
-        with pytest.raises(ValueError):
-            PolynomialCoeffs((1.0, 0.0))

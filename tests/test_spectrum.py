@@ -15,7 +15,8 @@ from singwave import specfun, spectrum
 from singwave.specfun import (_CANCEL_RTOL, _PHASE_RTOL, ConvergenceError,
                               kummer_m)
 from singwave.spectrum import (Eigenvalue, Rect, SpectralProblem,
-                               alpha_sweep, asymptotic_eigenvalue, char_fn,
+                               SpectrumError, alpha_sweep,
+                               asymptotic_eigenvalue, char_fn,
                                collocation_eigenvalues, collocation_order,
                                count_zeros, eigenfunction, find_eigenvalues,
                                integer_n, laguerre_poles, spectral_abscissa,
@@ -316,6 +317,13 @@ class TestScipyOracles:
                         x = _mp_laguerre_newton(n, x)
                     ref = -x / 2
                     assert abs((mu - ref) / ref) <= bound, (n, mu)
+
+
+def test_laguerre_poles_refuse_a_non_finite_pole():
+    # from n = 363 the Newton polish overflows the recurrence at the
+    # largest node; no NaN pole may reach a caller
+    with pytest.raises(SpectrumError, match="n=400"):
+        laguerre_poles(400)
 
 
 class TestCharValues:
