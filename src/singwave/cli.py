@@ -444,11 +444,10 @@ def cmd_extinction(args, cfg):
     if integer and n >= 1 and not report["extinct"]:
         # compare the simulated state against the closed-form tail
         snap_idx = [i for i, t in enumerate(run.snapshot_times) if t > 2.5]
-        errs = []
-        for i in snap_idx:
-            t = run.snapshot_times[i]
-            tail = tail_u2(data, n, t, run.grid.nodes)
-            errs.append(float(np.max(np.abs(run.snapshots[i].u - tail))))
+        tails = tail_u2(data, n, [run.snapshot_times[i] for i in snap_idx],
+                        run.grid.nodes)
+        errs = [float(np.max(np.abs(run.snapshots[i].u - tail)))
+                for i, tail in zip(snap_idx, tails)]
         report["tail_match_error"] = max(errs) if errs else None
     if not report["extinct"]:
         tr = run.trace

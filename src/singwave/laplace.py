@@ -229,17 +229,18 @@ def tail_u2(data, n, t, x_grid):
     u2(x, t) = -sum_k (a_k/(n+1)) e^(mu_k (t-2)) f_k(x) <r(., mu_k), f_k>_L2;
     identically zero exactly when the data are orthogonal to every adjoint
     eigenfunction, since <r(., mu_k), f_k> = -(1/mu_k) <data, adjoint mode>_H
-    and mu_k < 0."""
+    and mu_k < 0. t is a time, for one row over x_grid, or a 1-D array of
+    times, for one row per time; the pairings and modes are computed once."""
     from .evolution import projection_condition
 
-    if t <= 2.0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 2.0):
         raise ValueError("the tail formula holds for t > 2")
     pf = partial_fractions(n)
-    c = projection_condition(data, n)
-    c = -c / np.array(pf.poles)  # energy pairing -> L2 pairing with r
+    poles = np.array(pf.poles)
+    c = -projection_condition(data, n) / poles  # energy -> L2 pairing with r
     x_grid = np.asarray(x_grid, dtype=float)
-    out = np.zeros_like(x_grid)
-    for k, (mu, a, c_k) in enumerate(zip(pf.poles, pf.coeffs, c), start=1):
-        f_k = standing_mode(n, k).f(x_grid)
-        out -= (a / (n + 1)) * math.exp(mu * (t - 2.0)) * c_k * f_k
-    return out
+    modes = np.array([standing_mode(n, k).f(x_grid)
+                      for k in range(1, n + 1)])
+    weights = np.array(pf.coeffs) * c / (n + 1)
+    return -(np.exp(np.multiply.outer(t - 2.0, poles)) * weights) @ modes

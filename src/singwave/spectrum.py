@@ -50,9 +50,6 @@ _BOUNDARY_RETRIES = 5
 # _recover_missed's rounds of _gap_round
 _GAP_ROUNDS = 3
 _DEDUP_TOL = 1e-8
-# below this many new points per call, kummer_m one by one is faster than
-# kummer_m_array, whose lockstep series has a fixed cost per term block
-_ARRAY_MIN_POINTS = 24
 
 
 class SpectrumError(Exception):
@@ -93,12 +90,6 @@ def integer_n(alpha):
 class SpectralProblem:
     """Damping strength alpha plus the integer-case flag integer_n, which
     is integer_n(alpha). Problems are equal when their alphas are.
-
-    Two caches hold F(lambda) by the exact lambda for this problem alone:
-    phase_values the winding walk's samples, taken at the phase grade
-    (_PHASE_RTOL), and newton_values Newton's values, at the same grade but
-    also accepted within an absolute bound. Neither reads the other, and
-    each evaluates a lambda once.
     """
 
     def __init__(self, alpha):
@@ -106,8 +97,6 @@ class SpectralProblem:
             raise ValueError("alpha must be positive")
         self.alpha = alpha
         self.integer_n = integer_n(alpha)
-        self.phase_values = {}
-        self.newton_values = {}
 
     def __eq__(self, other):
         if not isinstance(other, SpectralProblem):
@@ -159,28 +148,12 @@ def char_fn(problem, lam):
     return kummer_m(1.0 - problem.alpha, 2.0, -2.0 * complex(lam))
 
 
-def _phase_fn(problem, lam):
-    """F(lambda) where its phase is all that is read: at the phase grade,
-    through problem.phase_values."""
-    f = problem.phase_values.get(lam)
-    if f is None:
-        f = problem.phase_values[lam] = kummer_m(
-            1.0 - problem.alpha, 2.0, -2.0 * lam, rtol=_PHASE_RTOL)
-    return f
-
-
-def _phase_fn_many(problem, lams):
-    """_phase_fn at each of lams; the lambdas not in problem.phase_values
-    are evaluated in one kummer_m_array call, which meets kummer_m's phase
-    grade, or one by one when there are fewer than _ARRAY_MIN_POINTS."""
-    phase = problem.phase_values
-    new = [lam for lam in dict.fromkeys(lams) if lam not in phase]
-    if len(new) >= _ARRAY_MIN_POINTS:
-        vals = kummer_m_array(1.0 - problem.alpha, 2.0,
-                              np.array([-2.0 * lam for lam in new]),
-                              rtol=_PHASE_RTOL)
-        phase.update(zip(new, vals.tolist()))
-    return [_phase_fn(problem, lam) for lam in lams]
+def _phase_values(problem, lams):
+    """F at each of lams where its phase is all that is read: at the phase
+    grade (_PHASE_RTOL), in one kummer_m_array call."""
+    return kummer_m_array(1.0 - problem.alpha, 2.0,
+                          np.array([-2.0 * lam for lam in lams]),
+                          rtol=_PHASE_RTOL).tolist()
 
 
 def char_fn_dlam(problem, lam):
@@ -188,17 +161,6 @@ def char_fn_dlam(problem, lam):
     relative error r moves a step by r |step|."""
     return -2.0 * kummer_m_dz(1.0 - problem.alpha, 2.0, -2.0 * complex(lam),
                               rtol=_PHASE_RTOL)
-
-
-def _newton_fn(problem, lam, atol):
-    """F at lambda for Newton, at the phase grade within atol, through the
-    problem's newton_values, which only Newton reads: two Newton runs that
-    reach one root sum its high-precision values once."""
-    f = problem.newton_values.get(lam)
-    if f is None:
-        f = problem.newton_values[lam] = kummer_m(
-            1.0 - problem.alpha, 2.0, -2.0 * lam, rtol=_PHASE_RTOL, atol=atol)
-    return f
 
 
 def _newton(problem, seed, radius=math.inf):
@@ -214,6 +176,7 @@ def _newton(problem, seed, radius=math.inf):
     on atol is the bound that decides. F' comes first at each lambda: atol
     is read off it. The returned residual is |F| at the root.
     """
+    a = 1.0 - problem.alpha
     lam = complex(seed)
     f = None
     for _ in range(_NEWTON_MAX_ITER):
@@ -223,21 +186,20 @@ def _newton(problem, seed, radius=math.inf):
         atol = min(_NEWTON_RES_ERR * _RESIDUAL_TOL,
                    _NEWTON_ROOT_ERR * abs(df) * (1.0 + abs(lam)))
         if f is None:
-            f = _newton_fn(problem, lam, atol)
+            f = kummer_m(a, 2.0, -2.0 * lam, rtol=_PHASE_RTOL, atol=atol)
         step = f / df
         if not cmath.isfinite(step):
             raise NewtonError(seed, "non-finite step")
         if abs(step) > _NEWTON_MAX_STEP:
             step *= _NEWTON_MAX_STEP / abs(step)
-        lam_new = lam - step
-        f_new = _newton_fn(problem, lam_new, atol)
-        # halve on overshoot
-        halvings = 0
-        while abs(f_new) > abs(f) and halvings < 20:
-            step *= 0.5
+        # halve on overshoot, up to 20 times
+        for _ in range(21):
             lam_new = lam - step
-            f_new = _newton_fn(problem, lam_new, atol)
-            halvings += 1
+            f_new = kummer_m(a, 2.0, -2.0 * lam_new, rtol=_PHASE_RTOL,
+                             atol=atol)
+            if abs(f_new) <= abs(f):
+                break
+            step *= 0.5
         if abs(lam_new - seed) > radius:
             raise NewtonError(seed, "left the seed's disc")
         if abs(lam_new - lam) < _NEWTON_TOL * (1.0 + abs(lam_new)):
@@ -256,7 +218,7 @@ def _segment_winding(problem, z1, z2, f1, f2, diag):
     if abs(z2 - z1) < 1e-12 * diag:
         raise BoundaryZeroError(f"phase jump not resolvable near {z1}")
     zm = 0.5 * (z1 + z2)
-    fm = _phase_fn(problem, zm)
+    fm = kummer_m(1.0 - problem.alpha, 2.0, -2.0 * zm, rtol=_PHASE_RTOL)
     return (_segment_winding(problem, z1, zm, f1, fm, diag)
             + _segment_winding(problem, zm, z2, fm, f2, diag))
 
@@ -269,25 +231,28 @@ _WALK_STEP = 0.2
 
 def _walk_points(rect):
     """The initial boundary samples of rect, from its first corner round
-    to it again."""
+    to the sample before it; the walk closes on the first."""
     corners = rect.corners()
     pts = []
     for i in range(4):
         z1, z2 = corners[i], corners[(i + 1) % 4]
         m = max(1, math.ceil(abs(z2 - z1) / _WALK_STEP))
         pts.extend(z1 + (z2 - z1) * (j / m) for j in range(m))
-    pts.append(corners[0])
     return pts
 
 
-def _winding_number(problem, rect):
+def _winding_number(problem, rect, vals=None):
+    """The winding number of F round rect; vals, when given, holds F at
+    _walk_points(rect) at the phase grade."""
     diag = rect.diag()
     pts = _walk_points(rect)
-    vals = _phase_fn_many(problem, pts)
+    if vals is None:
+        vals = _phase_values(problem, pts)
     total = 0.0
-    for i in range(len(pts) - 1):
-        total += _segment_winding(problem, pts[i], pts[i + 1], vals[i],
-                                  vals[i + 1], diag)
+    for i in range(len(pts)):
+        j = (i + 1) % len(pts)
+        total += _segment_winding(problem, pts[i], pts[j], vals[i], vals[j],
+                                  diag)
     winding = total / (2.0 * math.pi)
     n = round(winding)
     if abs(winding - n) > 0.25:
@@ -500,7 +465,7 @@ def _real_roots(problem, seeds):
 
 
 def _audit_rect(lam, spacing):
-    half = min(max(0.45 * spacing, 0.05), 1.0)
+    half = min(0.45 * spacing, 1.0)
     return Rect(lam.real - half, lam.real + half,
                 lam.imag - half, lam.imag + half)
 
@@ -513,16 +478,24 @@ def _audit(problem, eigenvalues):
         spacing = min((abs(lam - o) for j, o in enumerate(vals) if j != i),
                       default=1.0)
         rects.append(_audit_rect(lam, spacing))
-    # the boundary samples of every rectangle in one array call; on a
-    # failure the rectangles are walked in turn, so that an earlier
-    # rectangle's AuditError still comes first
+    walks = [_walk_points(rect) for rect in rects]
+    # the boundary samples of every rectangle in one array call, each
+    # rectangle walked on its own slice; on a failure the rectangles are
+    # walked in turn, so that an earlier rectangle's AuditError still
+    # comes first
     try:
-        _phase_fn_many(problem,
-                      [z for rect in rects for z in _walk_points(rect)])
+        samples = _phase_values(problem, [z for pts in walks for z in pts])
     except ConvergenceError:
-        pass
-    for rect in rects:
-        counted = count_zeros(problem, rect)
+        samples = None
+    start = 0
+    for rect, pts in zip(rects, walks):
+        try:
+            counted = _winding_number(
+                problem, rect, samples and samples[start:start + len(pts)])
+        except BoundaryZeroError:
+            # count_zeros retries on perturbed rectangles
+            counted = count_zeros(problem, rect)
+        start += len(pts)
         inside = sum(1 for o in vals if rect.contains(o))
         if counted != inside:
             raise AuditError(rect, counted, inside)

@@ -10,12 +10,13 @@ import pytest
 from polynomial_oracle import (laguerre_coeffs, p_poly_coeffs,
                                p_poly_fractions)
 from singwave.data import bump_data, mode_data, sine_data, zero_data
-from singwave.evolution import project_out
+from singwave.evolution import project_out, projection_condition
 from singwave.laplace import (_RESIDUE_SUM_RTOL, LaplaceRHS,
                               PoleProximityError, _bracket_factor, green_g1,
                               green_g2, laplace_U_alpha1, p_poly,
                               partial_fractions, solve_laplace_U, tail_u2)
 from singwave.specfun import laguerre
+from singwave.spectrum import standing_mode
 
 
 class TestPartialFractions:
@@ -318,3 +319,27 @@ class TestTail:
     def test_requires_late_time(self):
         with pytest.raises(ValueError):
             tail_u2(sine_data(1), 1, 1.5, np.array([0.5]))
+        with pytest.raises(ValueError):
+            tail_u2(sine_data(1), 1, [3.0, 2.0], np.array([0.5]))
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_array_of_times(self, n):
+        # one row per time, each the call at that time and the sum of the
+        # tail formula's terms, mode by mode, within rounding: a few ulps
+        # of the largest term
+        data = sine_data(2)
+        x = np.linspace(0, 1, 21)
+        ts = np.array([2.1, 2.5, 3.0, 4.0])
+        rows = tail_u2(data, n, ts, x)
+        assert rows.shape == (len(ts), len(x))
+        pf = partial_fractions(n)
+        c = -projection_condition(data, n) / np.array(pf.poles)
+        for t, row in zip(ts, rows):
+            terms = [-(a / (n + 1)) * math.exp(mu * (t - 2.0)) * c_k
+                     * standing_mode(n, k).f(x) for k, (mu, a, c_k)
+                     in enumerate(zip(pf.poles, pf.coeffs, c), start=1)]
+            tol = 4 * n * np.finfo(float).eps * np.max(np.abs(terms))
+            one = tail_u2(data, n, t, x)
+            assert one.shape == x.shape
+            assert np.max(np.abs(row - one)) <= tol
+            assert np.max(np.abs(row - np.sum(terms, axis=0))) <= tol

@@ -2,8 +2,10 @@
 search paths, eigenfunctions, sweeps."""
 
 import cmath
+import itertools
 import math
 import pickle
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -23,6 +25,42 @@ from singwave.spectrum import (Eigenvalue, Rect, SpectralProblem,
                                standing_mode)
 
 _EPS = np.finfo(float).eps
+
+
+class _Value(NamedTuple):
+    """One value of F that spectrum took from kummer_m (array False) or
+    kummer_m_array (array True), call the index of that call."""
+
+    call: int
+    array: bool
+    z: complex
+    rtol: float
+    atol: float
+    value: complex
+
+
+def _spy_f(monkeypatch):
+    """Wraps spectrum.kummer_m and spectrum.kummer_m_array; the list
+    returned gets a _Value for each value of F that they give."""
+    seen = []
+    calls = itertools.count()
+    scalar, array = spectrum.kummer_m, spectrum.kummer_m_array
+
+    def spy_scalar(a, b, z, rtol=_CANCEL_RTOL, atol=0.0):
+        out = scalar(a, b, z, rtol=rtol, atol=atol)
+        seen.append(_Value(next(calls), False, complex(z), rtol, atol, out))
+        return out
+
+    def spy_array(a, b, z, rtol=_CANCEL_RTOL):
+        out = array(a, b, z, rtol=rtol)
+        i = next(calls)
+        seen.extend(_Value(i, True, zi, rtol, 0.0, fi) for zi, fi in
+                    zip(np.ravel(z).tolist(), np.ravel(out).tolist()))
+        return out
+
+    monkeypatch.setattr(spectrum, "kummer_m", spy_scalar)
+    monkeypatch.setattr(spectrum, "kummer_m_array", spy_array)
+    return seen
 
 
 class TestSpectralProblem:
@@ -148,14 +186,14 @@ class TestFindEigenvalues:
         # would have reached comes from elsewhere
         ref = find_eigenvalues(SpectralProblem(1.5), 3)
         seed = spectrum._collocation_seeds(SpectralProblem(1.5), 3)[1][0]
-        newton_fn = spectrum._newton_fn
+        kummer = spectrum.kummer_m
 
-        def nan_at_seed(problem, lam, *args):
-            if lam == seed:
+        def nan_at_seed(a, b, z, rtol=_CANCEL_RTOL, atol=0.0):
+            if z == -2.0 * seed and atol:  # Newton's F at the seed
                 return complex(math.nan, math.nan)
-            return newton_fn(problem, lam, *args)
+            return kummer(a, b, z, rtol=rtol, atol=atol)
 
-        monkeypatch.setattr(spectrum, "_newton_fn", nan_at_seed)
+        monkeypatch.setattr(spectrum, "kummer_m", nan_at_seed)
         with pytest.raises(spectrum.NewtonError, match="non-finite step"):
             spectrum._newton(SpectralProblem(1.5), seed)
         evs = find_eigenvalues(SpectralProblem(1.5), 3)
@@ -163,6 +201,15 @@ class TestFindEigenvalues:
             (ev.index, ev.branch) for ev in ref]
         for ev, r in zip(evs, ref):
             assert abs(ev.value - r.value) <= EIG_RTOL * abs(r.value)
+
+    @pytest.mark.parametrize("alpha", [87.0, 120.0])
+    def test_audit_of_closely_spaced_poles(self, alpha):
+        # from alpha = 87 the poles nearest 0 lie closer than 0.1: each
+        # audit rectangle is sized by the spacing alone, and holds one pole
+        evs = find_eigenvalues(SpectralProblem(alpha), 3)
+        assert len(evs) == alpha - 1
+        mus = sorted(ev.value.real for ev in evs)
+        assert min(b - a for a, b in zip(mus, mus[1:])) < 0.1
 
     @pytest.mark.parametrize("m, diving", [(2, -22.10), (3, -25.31),
                                            (4, -28.32)])
@@ -327,51 +374,74 @@ def test_laguerre_poles_refuse_a_non_finite_pole():
 
 
 class TestCharValues:
-    def test_each_lambda_evaluated_once(self, monkeypatch):
-        # every evaluation of F in the solve goes through the problem's
-        # two caches, both at the phase grade, and each cache evaluates a
-        # lambda at most once. Only Newton's calls carry an absolute bound,
-        # and their values stay in newton_values, which nothing but Newton
-        # reads
+    def test_walk_samples_evaluated_once(self, monkeypatch):
+        # every value of F in the solve is at the phase grade, and only
+        # Newton's carry an absolute bound. No walk sample is taken twice:
+        # the audit takes its rectangles' samples in one array call, which
+        # its walks read, and adds only the bisections' midpoints
         p = SpectralProblem(0.7)
-        a = 1.0 - p.alpha
-        seen = []  # (z, rtol, atol)
+        seen = _spy_f(monkeypatch)
+        audit_calls, walked = [], []
+        audit, winding = spectrum._audit, spectrum._winding_number
 
-        def scalar(aa, b, z, rtol=_CANCEL_RTOL, atol=0.0):
-            if (aa, b) == (a, 2.0):
-                seen.append((complex(z), rtol, atol))
-            return kummer_m(aa, b, z, rtol=rtol, atol=atol)
+        def spy_audit(problem, evs):
+            first, first_walk = len(seen), len(walked)
+            audit(problem, evs)
+            audit_calls.append((seen[first:], walked[first_walk:]))
 
-        def array(aa, b, z, rtol=_CANCEL_RTOL, **kwargs):
-            assert not kwargs
-            if (aa, b) == (a, 2.0):
-                seen.extend((zi, rtol, 0.0) for zi in np.ravel(z).tolist())
-            return kummer_m_array(aa, b, z, rtol=rtol)
+        def spy_winding(problem, rect, vals=None):
+            walked.append((rect, vals))
+            return winding(problem, rect, vals)
 
-        kummer_m, kummer_m_array = spectrum.kummer_m, spectrum.kummer_m_array
-        monkeypatch.setattr(spectrum, "kummer_m", scalar)
-        monkeypatch.setattr(spectrum, "kummer_m_array", array)
+        monkeypatch.setattr(spectrum, "_audit", spy_audit)
+        monkeypatch.setattr(spectrum, "_winding_number", spy_winding)
         evs = find_eigenvalues(p, 4)
         assert len(evs) == 8
-        assert p.phase_values and p.newton_values
-        assert len(seen) == len(p.phase_values) + len(p.newton_values)
-        assert {z for z, _, atol in seen if atol} == {
-            -2.0 * lam for lam in p.newton_values}
-        assert {z for z, _, atol in seen if not atol} == {
-            -2.0 * lam for lam in p.phase_values}
-        assert {r for _, r, _ in seen} == {_PHASE_RTOL}
+        assert {v.rtol for v in seen} == {_PHASE_RTOL}
+        walk = [v.z for v in seen if not v.atol]
+        assert len(walk) == len(set(walk))
+        # the audit walks each of its rectangles once, on its own slice of
+        # one array call
+        [(in_audit, rects)] = audit_calls
+        assert not any(v.atol for v in in_audit)
+        batch = [v for v in in_audit if v.array]
+        assert len({v.call for v in batch}) == 1
+        assert len(rects) == len(evs)
+        assert [v.z for v in batch] == [
+            -2.0 * lam for rect, _ in rects
+            for lam in spectrum._walk_points(rect)]
+        assert [v.value for v in batch] == [f for _, vals in rects
+                                            for f in vals]
+        newton = [v.atol for v in seen if v.atol]
+        assert newton and all(0.0 < atol <= 1e-2 * spectrum._RESIDUAL_TOL
+                              for atol in newton)
 
-    def test_cache_per_problem(self):
+    def test_audit_falls_back_to_count_zeros(self, monkeypatch):
+        # a zero on a rectangle's boundary in the audit's first walk sends
+        # that rectangle to count_zeros, which walks it anew
+        winding, retried = spectrum._winding_number, []
+
+        def zero_on_first_walk(problem, rect, vals=None):
+            if vals is not None:
+                raise spectrum.BoundaryZeroError("forced")
+            retried.append(rect)
+            return winding(problem, rect)
+
+        ref = find_eigenvalues(SpectralProblem(0.7), 3, audit=False)
+        monkeypatch.setattr(spectrum, "_winding_number", zero_on_first_walk)
+        evs = find_eigenvalues(SpectralProblem(0.7), 3)
+        assert evs == ref
+        assert len(retried) > len(evs)  # the audit's and _recover_missed's
+
+    def test_equal_by_alpha(self):
+        # a problem holds its alpha and integer_n alone: a solve leaves no
+        # state on it
         p = SpectralProblem(1.5)
         find_eigenvalues(p, 2)
-        assert p.newton_values
-        q = SpectralProblem(1.6)
-        assert q.newton_values == {}
-        assert SpectralProblem(1.5) == p
+        assert vars(p) == {"alpha": 1.5, "integer_n": None}
+        assert SpectralProblem(1.5) == p != SpectralProblem(1.6)
         assert hash(SpectralProblem(1.5)) == hash(p)
-        for cache in ("phase_values", "newton_values"):
-            assert cache not in repr(p)
-        assert p.phase_values and q.phase_values == {}
+        assert repr(p) == "SpectralProblem(alpha=1.5, integer_n=None)"
 
     def test_audit_error_before_later_convergence_error(self, monkeypatch):
         # the first audit rectangle holds no zero of F, and a boundary
@@ -457,15 +527,18 @@ def _rect_near_zero(draw):
 class TestPhaseGrade:
     """Walk samples at the phase grade leave every result unchanged."""
 
-    def test_count_zeros_same_at_both_grades(self):
+    def test_count_zeros_same_at_both_grades(self, monkeypatch):
         kinds, differ = set(), []
+        seen = _spy_f(monkeypatch)
 
         def outcome(alpha, rect):
-            p = SpectralProblem(alpha)
+            """count_zeros' count or error type, and F at each sample."""
+            seen.clear()
             try:
-                return count_zeros(p, rect), p.phase_values
+                result = count_zeros(SpectralProblem(alpha), rect)
             except spectrum.SpectrumError as exc:
-                return type(exc), p.phase_values
+                result = type(exc)
+            return result, {v.z: v.value for v in seen}
 
         @settings(derandomize=True, database=None, deadline=None,
                   max_examples=40)
@@ -478,40 +551,46 @@ class TestPhaseGrade:
                 value, ref = outcome(alpha, rect)
             assert phase == value
             kinds.add(near)
-            differ.extend(lam for lam, f in sampled.items()
-                          if lam in ref and f != ref[lam])
+            differ.extend(z for z, f in sampled.items()
+                          if z in ref and f != ref[z])
 
         check()
         assert kinds == {True, False}
         assert differ  # some samples really were taken at the phase grade
 
-    def test_char_fn_reads_no_phase_value(self):
+    def test_char_fn_reads_no_phase_value(self, monkeypatch):
+        # the walk samples F at the phase grade; char_fn at a sample takes
+        # F anew, at the value grade
         p = SpectralProblem(0.7)
+        seen = _spy_f(monkeypatch)
         count_zeros(p, Rect(-2.0, -1.0, 1.0, 3.0))
-        lam = next(iter(p.phase_values))
-        p.phase_values[lam] *= 2.0
-        assert char_fn(p, lam) == kummer_m(1.0 - p.alpha, 2.0, -2.0 * lam)
-        # and the walk reads its own cache alone
-        assert spectrum._phase_fn(p, lam) == p.phase_values[lam]
+        assert seen and {v.rtol for v in seen} == {_PHASE_RTOL}
+        z = seen[0].z
+        n = len(seen)
+        assert char_fn(p, -0.5 * z) == kummer_m(1.0 - p.alpha, 2.0, z)
+        assert [(v.z, v.rtol) for v in seen[n:]] == [(z, _CANCEL_RTOL)]
 
     @pytest.mark.parametrize("alpha", [0.7, 2.3])
     @pytest.mark.parametrize("factor", [1 + 1e-9, 1 + 1e-9j])
     def test_perturbed_phase_values_change_nothing(self, monkeypatch, alpha,
                                                    factor):
         ref = find_eigenvalues(SpectralProblem(alpha), 5)
+        perturbed_calls = []
 
         def perturbed(f):
             def g(aa, b, z, rtol=_CANCEL_RTOL, **kwargs):
                 out = f(aa, b, z, rtol=rtol, **kwargs)
-                return out * factor if rtol == _PHASE_RTOL else out
+                if rtol != _PHASE_RTOL:
+                    return out
+                perturbed_calls.append(np.size(z))
+                return out * factor
             return g
 
         for name in ("kummer_m", "kummer_m_array"):
             monkeypatch.setattr(spectrum, name,
                                 perturbed(getattr(spectrum, name)))
-        p = SpectralProblem(alpha)
-        evs = find_eigenvalues(p, 5)
-        assert p.phase_values
+        evs = find_eigenvalues(SpectralProblem(alpha), 5)
+        assert perturbed_calls
         _assert_close(evs, ref)
 
 
@@ -523,10 +602,12 @@ class TestPhaseGrade:
         # Newton's F, at the same grade, may reach the high-precision
         # fallback next to a zero, so each fallback is recorded with its
         # grade and whether Newton asked
-        grades, fallbacks, newton = [], [], []
+        grades, fallbacks, newton, samples = [], [], [], []
 
         def graded(f):
             def g(aa, b, z, rtol=_CANCEL_RTOL, **kwargs):
+                if not newton:
+                    samples.append(np.size(z))
                 grades.append(rtol)
                 try:
                     return f(aa, b, z, rtol=rtol, **kwargs)
@@ -556,9 +637,8 @@ class TestPhaseGrade:
         monkeypatch.setattr(specfun, "_kummer_series_highprec",
                             high(specfun._kummer_series_highprec))
         monkeypatch.setattr(spectrum, "_newton", in_newton(spectrum._newton))
-        p = SpectralProblem(alpha)
-        find_eigenvalues(p, k_max)
-        assert p.phase_values
+        find_eigenvalues(SpectralProblem(alpha), k_max)
+        assert sum(samples) > 100  # the walks' samples
         assert (_PHASE_RTOL, True) in fallbacks  # the spy sees Newton's
         assert (_PHASE_RTOL, False) not in fallbacks
 
@@ -586,18 +666,30 @@ class TestNewtonGrades:
                                               (3 + 9.9e-7, 5)])
     def test_grades_by_step(self, monkeypatch, alpha, k_max):
         # solves: one record per Newton solve; active while one runs;
-        # evaluated: the sums of the exact series; last_resort: mpmath
+        # evaluated: the sums of the exact series; last_resort: mpmath;
+        # dz_kwargs: the keywords of each F' evaluation
         where, solves, active, evaluated, last_resort = [], [], [], [], []
+        dz_kwargs = []
+        seen = _spy_f(monkeypatch)
 
         def tagged(f):
-            def g(problem, lam, atol):
-                if active:
-                    solves[-1]["f"].append(("f", complex(lam), atol))
-                where.append(("f", complex(lam), atol))
+            # F in Newton carries its absolute bound, and in the walks none
+            def g(aa, b, z, rtol=_CANCEL_RTOL, atol=0.0):
+                tag = ("f" if atol else "walk", -0.5 * complex(z), atol)
+                where.append(tag)
                 try:
-                    return f(problem, lam, atol)
+                    value = f(aa, b, z, rtol=rtol, atol=atol)
                 finally:
                     where.pop()
+                if active:
+                    solves[-1]["f"].append((*tag, value))
+                return value
+            return g
+
+        def dz(f):
+            def g(aa, b, z, **kwargs):
+                dz_kwargs.append(kwargs)
+                return f(aa, b, z, **kwargs)
             return g
 
         def dlam(f):
@@ -636,8 +728,8 @@ class TestNewtonGrades:
                 return lam, res
             return g
 
-        monkeypatch.setattr(spectrum, "_newton_fn",
-                            tagged(spectrum._newton_fn))
+        monkeypatch.setattr(spectrum, "kummer_m", tagged(spectrum.kummer_m))
+        monkeypatch.setattr(spectrum, "kummer_m_dz", dz(spectrum.kummer_m_dz))
         monkeypatch.setattr(spectrum, "char_fn_dlam",
                             dlam(spectrum.char_fn_dlam))
         monkeypatch.setattr(specfun, "_kummer_series_highprec",
@@ -668,20 +760,24 @@ class TestNewtonGrades:
                 assert err > atol, (tag, z, err, atol)
             # every F, the seed's too, within Newton's absolute bound
             assert all(0.0 < atol <= 1e-2 * spectrum._RESIDUAL_TOL
-                       for _, _, atol in s["f"])
+                       for _, _, atol, _ in s["f"])
             if "out" not in s:
                 # a collocation value that the grid does not resolve, whose
                 # Newton failed; find_eigenvalues skips that seed
                 continue
             # the residual is |F| at the root, Newton's last F
-            lam, res, problem = s["out"]
-            assert s["f"][-1][1] == lam
-            assert res == abs(problem.newton_values[lam])
+            lam, res, _ = s["out"]
+            _, last, _, value = s["f"][-1]
+            assert last == lam and res == abs(value)
         assert value_fallbacks <= self.VALUE_FALLBACKS_MEAN * len(solves)
-        # no lambda is summed twice, and none reaches mpmath: every |z| is
-        # below _EXACT_MAX_ABS
+        # F' carries no absolute bound
+        assert dz_kwargs and all(kw == {"rtol": _PHASE_RTOL}
+                                 for kw in dz_kwargs)
+        # no walk sample is taken twice, and no lambda reaches mpmath:
+        # every |z| is below _EXACT_MAX_ABS
+        walk = [v.z for v in seen if not v.atol]
+        assert walk and len(walk) == len(set(walk))
         assert evaluated
-        assert len(evaluated) == len(set(evaluated))
         assert last_resort == []
 
 
